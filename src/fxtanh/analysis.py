@@ -7,18 +7,16 @@ this convention, so comparing to the unquantized function is what makes the
 grid's numbers meaningful.
 
 Sweeps enumerate every input code, so the reports are exact properties of a
-configuration, not statistics.  Partitioning a sweep across workers changes
-nothing: per-range results merge by max/sum in a fixed order.
+configuration, not statistics.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .baselines import PwlTable, pwl_tanh, reference_tanh, taylor_tanh
-from .datapath import Subtractor, TanhConfig, Variant, build_luts_for, tanh_fx
+from .datapath import Subtractor, TanhConfig, Variant, magnitude_outputs
 from .fxnum import Fx, RoundMode, quantize
 
 _MAX_SWEEP_WIDTH = 24
@@ -59,63 +57,47 @@ class Table2Row:
 _BLOCK = 1 << 12
 
 
-def _sweep_block(cfg: TanhConfig, start: int, stop: int) -> tuple[float, int, float]:
-    """Max error, first worst code, and exact block error sum over [start, stop)."""
-    luts = build_luts_for(cfg) if cfg.variant is Variant.OPTIMIZED else None
-    in_fmt = cfg.input_fmt
-    in_scale = in_fmt.ulp
-    out_scale = cfg.output_fmt.ulp
-    tanh = math.tanh
-    max_err = -1.0
-    worst = start
-    errs = []
-    append = errs.append
-    for code in range(start, stop):
-        y = tanh_fx(Fx(code, in_fmt), cfg, luts)
-        err = abs(y.code * out_scale - tanh(code * in_scale))
-        append(err)
-        if err > max_err:
-            max_err = err
-            worst = code
-    return max_err, worst, math.fsum(errs)
-
-
-def exhaustive_sweep(cfg: TanhConfig, jobs: int = 1) -> ErrorReport:
+def exhaustive_sweep(cfg: TanhConfig) -> ErrorReport:
     """Sweep every input code and report max/mean error versus real tanh.
 
-    Worker count only affects wall time: the code space is cut into
-    fixed-size blocks regardless of ``jobs``, each block's error sum is
-    exact, and blocks merge in ascending order with ties keeping the lowest
-    input code.
+    Each magnitude is evaluated once (see ``magnitude_outputs``) and every
+    input code, negative ones included, reads its output from there, as
+    ``tanh_fx`` would compute it.  Errors are summed exactly per block of
+    ``_BLOCK`` codes and the block sums exactly again; ties for the
+    maximum keep the lowest input code.
     """
     width = cfg.input_fmt.width
     if width > _MAX_SWEEP_WIDTH:
         raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
+    mags = magnitude_outputs(cfg)
+    mags.append(mags[-1])               # the most negative code clamps to the largest magnitude
     lo, hi = cfg.input_fmt.code_min, cfg.input_fmt.code_max + 1
-    bounds = list(range(lo, hi, _BLOCK)) + [hi]
-    starts, stops = bounds[:-1], bounds[1:]
-    if jobs > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_block, [cfg] * len(starts), starts, stops))
-    else:
-        parts = [_sweep_block(cfg, a, b) for a, b in zip(starts, stops)]
-    max_err, worst = -1.0, lo
-    for part_max, part_worst, _ in parts:
-        if part_max > max_err:
-            max_err, worst = part_max, part_worst
-    total = math.fsum(part_total for _, _, part_total in parts)
+    in_ulp, out_ulp = cfg.input_fmt.ulp, cfg.output_fmt.ulp
+    tanh = math.tanh
+    max_err, worst, totals = -1.0, lo, []
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        mid = min(max(start, 0), stop)
+        # -y - t rounds to exactly -(y + t), so negative codes need no sign flip
+        errs = [abs(y * out_ulp + tanh(c * in_ulp))
+                for c, y in zip(range(start, mid), reversed(mags[1 - mid:1 - start]))]
+        errs += [abs(y * out_ulp - tanh(c * in_ulp)) for c, y in zip(range(mid, stop), mags[mid:stop])]
+        block_max = max(errs)
+        if block_max > max_err:
+            max_err, worst = block_max, start + errs.index(block_max)
+        totals.append(math.fsum(errs))
     samples = hi - lo
     return ErrorReport(
         config=cfg.describe(),
         max_abs_error=max_err,
-        mean_abs_error=total / samples,
+        mean_abs_error=math.fsum(totals) / samples,
         max_error_ulps=max_err / cfg.output_fmt.ulp,
         worst_input=Fx(worst, cfg.input_fmt),
         samples=samples,
     )
 
 
-def table2(cfg_base: TanhConfig, jobs: int = 1) -> list[Table2Row]:
+def table2(cfg_base: TanhConfig) -> list[Table2Row]:
     """Error grid over reciprocal stage counts and subtractor modes.
 
     Zero stages stands for the reference divider (real-valued division,
@@ -126,7 +108,7 @@ def table2(cfg_base: TanhConfig, jobs: int = 1) -> list[Table2Row]:
     for stages in (0, 2, 3):
         for sub in (Subtractor.ONES, Subtractor.TWOS):
             cfg = replace(cfg_base, nr_stages=stages, subtractor=sub)
-            report = exhaustive_sweep(cfg, jobs=jobs)
+            report = exhaustive_sweep(cfg)
             rows.append(Table2Row(stages, sub, report.max_abs_error))
     return rows
 
@@ -138,7 +120,7 @@ class MethodRow:
     mean_abs_error: float
 
 
-def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3, jobs: int = 1) -> list[MethodRow]:
+def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3) -> list[MethodRow]:
     """Max/mean error of both pipeline variants, PWL, and a Taylor partial sum.
 
     All methods see the same quantized input grid.  The baselines run in
@@ -147,7 +129,7 @@ def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3, jobs:
     """
     rows = []
     for name, variant in (("optimized", Variant.OPTIMIZED), ("published", Variant.PUBLISHED)):
-        rep = exhaustive_sweep(replace(cfg, variant=variant), jobs=jobs)
+        rep = exhaustive_sweep(replace(cfg, variant=variant))
         rows.append(MethodRow(name, rep.max_abs_error, rep.mean_abs_error))
     in_fmt, out_fmt = cfg.input_fmt, cfg.output_fmt
     for name, fn in (

@@ -69,7 +69,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="product-tree rounding (default nearest-even)")
     p.add_argument("--output-round", choices=sorted(_ROUND_NAMES), default="nearest-even",
                    help="final rescale rounding (default nearest-even)")
-    p.add_argument("--jobs", type=int, default=1, help="sweep worker processes (default 1)")
 
 
 def _config_from_args(args: argparse.Namespace) -> TanhConfig:
@@ -134,14 +133,14 @@ def _cmd_gen_lut(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    report = analysis.exhaustive_sweep(cfg, jobs=args.jobs)
+    report = analysis.exhaustive_sweep(cfg)
     _emit(analysis.render_reports([report], args.report), args.save)
     return 0
 
 
 def _cmd_table2(args) -> int:
     cfg = _config_from_args(args)
-    rows = analysis.table2(cfg, jobs=args.jobs)
+    rows = analysis.table2(cfg)
     _emit(analysis.render_table2(rows, args.report), args.save)
     return 0
 
@@ -150,7 +149,7 @@ def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     clamp = analysis.clamp_threshold(cfg.output_fmt.frac_bits)
     pwl = uniform_pwl_table(args.pwl_spacing, clamp)
-    rows = analysis.compare_methods(cfg, pwl, args.taylor_terms, jobs=args.jobs)
+    rows = analysis.compare_methods(cfg, pwl, args.taylor_terms)
     _emit(analysis.render_comparison(rows, args.report), args.save)
     return 0
 

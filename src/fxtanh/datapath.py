@@ -16,18 +16,22 @@ Both variants share the sign-split / compute / sign-restore flow, clamp the
 magnitude at the point where tanh saturates the output format, and are exact
 for zero input and odd-symmetric by construction.
 
-Everything is a pure function over immutable configs; sweeps may call these
-from any number of workers.  The arithmetic itself runs on raw integer codes
-through a per-config plan so that exhaustive sweeps and single-input traces
-exercise the identical code path.
+Everything is a pure function over immutable configs.  The arithmetic runs
+on raw integer codes through a per-config plan.  Its kernel evaluates
+untraced single calls from the LUTs, and exhaustive sweeps from subtree
+tables that the tree's own combine fills; traced calls run the staged
+functions below, which record every intermediate value.  Tests hold all
+three bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 
 from .fxnum import Fx, QFormat, RoundMode, _rescale, quantize
 from .lutgen import GroupingScheme, VelocityLut, build_luts, shuffle_map, velocity_factor_original
@@ -135,7 +139,8 @@ def reference_config(**overrides) -> TanhConfig:
 class TanhTrace:
     """Intermediate values of one pipeline evaluation, for inspection.
 
-    Filled by the same code path the sweeps run; fields not touched by the
+    Filled by the staged functions, which compute the same bits as the
+    kernel that sweeps and untraced calls run; fields not touched by the
     active variant stay at their defaults.
     """
 
@@ -209,14 +214,85 @@ def build_luts_for(cfg: TanhConfig) -> tuple[VelocityLut, ...]:
     return tuple(build_luts(cfg.input_fmt, cfg.grouping, cfg.lut_fmt))
 
 
+def _half_even(shift: int, nearest: bool) -> tuple[int, int]:
+    """``(bias, odd)`` such that ``(v + bias + (v >> shift & odd)) >> shift``
+    equals ``_rescale(v, shift, nearest)`` for every ``shift >= 0``."""
+    if nearest and shift > 0:
+        return (1 << (shift - 1)) - 1, 1
+    return 0, 0
+
+
+def _tree_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """In-place merges ``(i, j)`` that reduce n values as the balanced tree does.
+
+    Level by level, value i absorbs value i + stride; an odd value at the
+    end of a level is carried up unchanged.
+    """
+    steps: list[tuple[int, int]] = []
+    stride = 1
+    while stride < n:
+        steps += [(i, i + stride) for i in range(0, n - stride, 2 * stride)]
+        stride *= 2
+    return tuple(steps)
+
+
+def _gather(order: list[int], by_bytes: bool):
+    """Map m to its bits ``order[0], order[1], ...`` packed from bit 0 up.
+
+    Consecutive bits are one shift.  Otherwise single calls move bit by
+    bit, and sweeps read one byte-to-address table per byte of m.
+    """
+    first = order[0]
+    if order == list(range(first, first + len(order))):
+        return lambda m: m >> first
+    if not by_bytes:
+        moves = tuple(enumerate(order))
+
+        def gather(m: int) -> int:
+            g = 0
+            for p, b in moves:
+                g |= (m >> b & 1) << p
+            return g
+
+        return gather
+    position = {b: p for p, b in enumerate(order)}
+    width = max(order) + 1
+    tables = []
+    for lo in range(0, width, 8):
+        table = [0] * (1 << min(8, width - lo))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << position[lo + low.bit_length() - 1]
+        tables.append(table)
+
+    def gather(m: int) -> int:
+        g = 0
+        for table in tables:
+            g |= table[m & 255]
+            m >>= 8
+        return g
+
+    return gather
+
+
 class _Plan:
-    """Raw-integer view of one (config, luts) pair, built once per pair."""
+    """Raw-integer view of one (config, luts) pair, built once per pair.
+
+    ``kernel`` maps an unsaturated magnitude code to its output magnitude
+    code.  It reads leaves: ``(table, offset, mask)`` triples whose address
+    is the field ``g >> offset & mask`` of the magnitude's bits gathered in
+    leaf order.  Tree values are integers at ``node_frac`` fraction bits,
+    the larger of the leaf and multiplier precisions, so a leaf passed up
+    past a bypassed partner (None, the exact 1.0) stays exact until the one
+    rescale at the top of the tree.
+    """
 
     __slots__ = (
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
         "groups", "tables", "lut_frac", "c0_code", "c1_code", "x_max",
         "reg_bits", "reg_codes", "reg_frac", "low_mask", "wide_max", "in_frac",
+        "node_frac", "leaves", "order", "reduce", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
@@ -244,8 +320,6 @@ class _Plan:
         self.c1_code = quantize(seed.c1, QFormat(False, 2, mf), RoundMode.NEAREST_EVEN).code
         self.x_max = (1 << (mf + 1)) - 1
         if cfg.variant is Variant.OPTIMIZED:
-            if luts is None:
-                raise ValueError("optimized variant needs the velocity LUTs")
             expected = shuffle_map(
                 self.mag_fmt.int_bits + self.in_frac,
                 cfg.grouping.group_width,
@@ -261,6 +335,11 @@ class _Plan:
             self.groups = tuple(tuple(g) for g in expected)
             self.tables = tuple(tuple(e.code for e in lut.entries) for lut in luts)
             self.lut_frac = cfg.lut_fmt.frac_bits
+            self.node_frac = max(self.lut_frac, mf)
+            lift = self.node_frac - self.lut_frac
+            leaf_tables = [(None,) + tuple(c << lift for c in table[1:]) for table in self.tables]
+            groups = self.groups
+            self.reduce = self._reducer(self.mf_mask)
         else:
             regs = build_published_registers(cfg)
             self.reg_bits = regs.bit_indices
@@ -272,19 +351,178 @@ class _Plan:
             )
             # wide accumulator: the clamped product tops out near 2**(b+1)
             self.wide_max = (1 << (self.out_frac + 2 + mf)) - 1
+            self.node_frac = max(self.reg_frac, mf)
+            lift = self.node_frac - self.reg_frac
+            leaf_tables = [(1 << self.node_frac, c << lift) for c in self.reg_codes]
+            groups = tuple((b,) for b in self.reg_bits)
+            self.reduce = self._reducer(self.wide_max)
+        self.order = [b for group in groups for b in group]
+        offsets = [0]
+        for group in groups:
+            offsets.append(offsets[-1] + len(group))
+        self.leaves = tuple(
+            (table, offset, (1 << len(group)) - 1)
+            for table, offset, group in zip(leaf_tables, offsets, groups)
+        )
+        self.kernel = self._kernel(self.leaves, _gather(self.order, by_bytes=False))
+
+    def _reducer(self, clamp: int):
+        """The product tree's combine, applied in place along a step list."""
+        lift = self.node_frac - self.mf
+        shift = self.node_frac + lift
+        bias, odd = _half_even(shift, self.tree_ne)
+
+        def reduce(vals: list, steps: tuple[tuple[int, int], ...]):
+            for i, j in steps:
+                b = vals[j]
+                if b is None:
+                    continue
+                a = vals[i]
+                if a is None:
+                    vals[i] = b
+                else:
+                    p = a * b
+                    p = (p + bias + (p >> shift & odd)) >> shift
+                    vals[i] = (p if p < clamp else clamp) << lift
+            return vals[0]
+
+        return reduce
+
+    def sweep_kernel(self):
+        """A kernel equal to ``kernel`` that reads subtree tables instead of leaves.
+
+        Each table stands for the bottom levels of the tree over 8 address
+        bits: a pair of 4-bit LUTs, a quad of 2-bit LUTs, or 8 registers.
+        Its entries come from the tree's own combine over every address.
+        The leaves' concatenated address layout is also the tables' layout,
+        so one gathered value addresses both.
+        """
+        per = 8 // max(mask.bit_length() for _, _, mask in self.leaves)
+        nodes = []
+        for c in range(0, len(self.leaves), per):
+            chunk = self.leaves[c:c + per]
+            base = chunk[0][1]
+            width = sum(mask.bit_length() for _, _, mask in chunk)
+            steps = _tree_steps(len(chunk))
+            table = [
+                self.reduce([t[a >> (o - base) & mask] for t, o, mask in chunk], steps)
+                for a in range(1 << width)
+            ]
+            nodes.append((table, base, (1 << width) - 1))
+        return self._kernel(tuple(nodes), _gather(self.order, by_bytes=True))
+
+    def _kernel(self, leaves, gather):
+        if self.cfg.variant is Variant.PUBLISHED:
+            return self._published_kernel(leaves, gather)
+        return self._optimized_kernel(leaves, gather)
+
+    def _optimized_kernel(self, leaves, gather):
+        reduce, steps = self.reduce, _tree_steps(len(leaves))
+        mf, mf_mask, x_max = self.mf, self.mf_mask, self.x_max
+        one, two = 1 << mf, 2 << mf
+        top = self.node_frac - mf
+        top_bias, top_odd = _half_even(top, self.tree_ne)
+        sub_ones, stages, rounds = self.sub_ones, self.stages, range(self.stages)
+        c0, c1, d_frac = self.c0_code, self.c1_code, mf + 1
+        out_max, out_ne, scale = self.out_max, self.out_ne, 1 << self.out_frac
+        out_shift = 2 * mf + 1 - self.out_frac
+        up, out_shift = max(0, -out_shift), max(0, out_shift)
+        out_bias, out_odd = _half_even(out_shift, out_ne)
+
+        def kernel(m: int) -> int:
+            g = gather(m)
+            v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
+            if v is None:
+                return 0
+            f = (v + top_bias + (v >> top & top_odd)) >> top
+            if f > mf_mask:
+                f = mf_mask
+            d = one + f
+            if not stages:
+                # reference row: real-valued division, one rounding at the output
+                t = (one - f) / d * scale
+                code = round(t) if out_ne else math.floor(t)
+                return code if code < out_max else out_max
+            n = f ^ mf_mask if sub_ones else min(one - f, mf_mask)
+            x = c0 - (c1 * d >> d_frac)
+            if x > x_max:
+                x = x_max
+            for _ in rounds:
+                x = x * (two - (d * x >> d_frac)) >> mf
+                if x > x_max:
+                    x = x_max
+            p = n * x << up
+            code = (p + out_bias + (p >> out_shift & out_odd)) >> out_shift
+            return code if code < out_max else out_max
+
+        return kernel
+
+    def _published_kernel(self, leaves, gather):
+        reduce, steps = self.reduce, _tree_steps(len(leaves))
+        mf, mf_mask, x_max, wide_max = self.mf, self.mf_mask, self.x_max, self.wide_max
+        one, two = 1 << mf, 2 << mf
+        top = self.node_frac - mf
+        top_bias, top_odd = _half_even(top, self.tree_ne)
+        stages, rounds = self.stages, range(self.stages)
+        c0, c1 = self.c0_code, self.c1_code
+        low_mask, in_frac = self.low_mask, self.in_frac
+        sq_bias, sq_odd = _half_even(mf, self.tree_ne)
+        corr_bias, corr_odd = _half_even(in_frac, self.tree_ne)
+        out_max = self.out_max
+        out_shift = mf - self.out_frac
+        up, out_shift = max(0, -out_shift), max(0, out_shift)
+        out_bias, out_odd = _half_even(out_shift, self.out_ne)
+
+        def kernel(m: int) -> int:
+            g = gather(m)
+            v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
+            f = (v + top_bias + (v >> top & top_odd)) >> top
+            if f > wide_max:
+                f = wide_max
+            n = f - one
+            if n <= 0:
+                t = 0
+            elif not stages:
+                t = min(math.floor(n / (f + one) * one), mf_mask)
+            else:
+                d = f + one
+                d_frac = d.bit_length()         # normalize into [0.5, 1)
+                x = c0 - (c1 * d >> d_frac)
+                if x > x_max:
+                    x = x_max
+                for _ in rounds:
+                    x = x * (two - (d * x >> d_frac)) >> mf
+                    if x > x_max:
+                        x = x_max
+                t = min(n * x >> d_frac, mf_mask)
+            sq = t * t
+            sq = (sq + sq_bias + (sq >> mf & sq_odd)) >> mf
+            c = (m & low_mask) * (one - sq)
+            s = t + ((c + corr_bias + (c >> in_frac & corr_odd)) >> in_frac)
+            s = (s if s < mf_mask else mf_mask) << up
+            code = (s + out_bias + (s >> out_shift & out_odd)) >> out_shift
+            return code if code < out_max else out_max
+
+        return kernel
 
 
 _plan_cache: tuple | None = None
 
 
 def _prepare(cfg: TanhConfig, luts) -> _Plan:
-    """Plan lookup with a single-slot identity cache (hot in sweeps)."""
+    """Plan lookup with a single-slot identity cache (hot in runs of single calls).
+
+    ``luts`` None stands for ``build_luts_for(cfg)``.  The slot remembers
+    whether its plan was built from those tables, so a hit costs no hash
+    of the configuration.
+    """
     global _plan_cache
     cached = _plan_cache
-    if cached is not None and cached[0] is cfg and cached[1] is luts:
-        return cached[2]
-    plan = _Plan(cfg, luts)
-    _plan_cache = (cfg, luts, plan)
+    if cached is not None and cached[0] is cfg and (cached[1] is luts or (luts is None and cached[2])):
+        return cached[3]
+    default = build_luts_for(cfg) if cfg.variant is Variant.OPTIMIZED else None
+    plan = _Plan(cfg, default if luts is None else luts)
+    _plan_cache = (cfg, plan.luts, plan.luts is default, plan)
     return plan
 
 
@@ -427,38 +665,53 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
     Sign-splits the input, saturates the output exactly for magnitudes at or
     beyond the clamp threshold, runs the configured variant on the
     magnitude, and restores the sign.  ``luts`` must be the tables built
-    from ``cfg`` (see ``build_luts_for``); the published variant fetches its
-    registers itself.
+    from ``cfg`` (see ``build_luts_for``), or None to have them built; the
+    published variant fetches its registers itself.
     """
     if x.fmt is not cfg.input_fmt and x.fmt != cfg.input_fmt:
         raise ValueError(f"input is {x.fmt} but the configuration expects {cfg.input_fmt}")
-    if cfg.variant is Variant.OPTIMIZED and luts is None:
-        luts = build_luts_for(cfg)
     plan = _prepare(cfg, luts)
     negative = x.code < 0
     mag_code = -x.code if negative else x.code
     if mag_code > plan.mag_max:        # most-negative code saturates
         mag_code = plan.mag_max
-    if trace is not None:
-        trace.input = x
-        trace.negative = negative
-        trace.magnitude = Fx(mag_code, plan.mag_fmt)
+    if trace is None:
+        if plan.sat_code is not None and mag_code >= plan.sat_code:
+            code = plan.out_max
+        else:
+            code = plan.kernel(mag_code)
+        return Fx(-code if negative else code, cfg.output_fmt)
+    trace.input = x
+    trace.negative = negative
+    trace.magnitude = Fx(mag_code, plan.mag_fmt)
     if plan.sat_code is not None and mag_code >= plan.sat_code:
-        if trace is not None:
-            trace.saturated = True
-            trace.output = Fx(-plan.out_max if negative else plan.out_max, cfg.output_fmt)
-        return Fx(-plan.out_max if negative else plan.out_max, cfg.output_fmt)
+        trace.saturated = True
+        trace.output = Fx(-plan.out_max if negative else plan.out_max, cfg.output_fmt)
+        return trace.output
     if cfg.variant is Variant.PUBLISHED:
         code = _published_code(mag_code, plan, trace)
     else:
         f_code = _velocity_product_code(mag_code, plan, trace)
-        if trace is not None:
-            trace.factor = None if f_code is None else Fx(f_code, cfg.mult_fmt)
+        trace.factor = None if f_code is None else Fx(f_code, cfg.mult_fmt)
         code = _final_code(f_code, plan, trace)
-    out = Fx(-code if negative else code, cfg.output_fmt)
-    if trace is not None:
-        trace.output = out
-    return out
+    trace.output = Fx(-code if negative else code, cfg.output_fmt)
+    return trace.output
+
+
+def magnitude_outputs(cfg: TanhConfig) -> array:
+    """The output magnitude code of every input magnitude code, 0 to the largest.
+
+    These are the codes ``tanh_fx`` returns before it restores the sign.
+    The plan's kernel runs once per magnitude below the saturation code,
+    through subtree tables built for this call; every magnitude at or above
+    it maps to the output maximum.
+    """
+    plan = _prepare(cfg, None)
+    count = plan.mag_max + 1
+    live = count if plan.sat_code is None else min(plan.sat_code, count)
+    codes = array("q", map(plan.sweep_kernel(), range(live)))
+    codes.extend(repeat(plan.out_max, count - live))
+    return codes
 
 
 def velocity_product(magnitude: Fx, cfg: TanhConfig, luts, trace: TanhTrace | None = None) -> Fx | None:
@@ -489,7 +742,7 @@ def nr_reciprocal(d: Fx, stages: int, cfg: TanhConfig, trace: TanhTrace | None =
         raise ValueError(f"denominator {d.value} outside [0.5, 1)")
     if stages < 0:
         raise ValueError("stage count cannot be negative")
-    plan = _prepare(cfg, None if cfg.variant is Variant.PUBLISHED else build_luts_for(cfg))
+    plan = _prepare(cfg, None)
     code = _nr_code(d.code, frac, stages, plan, trace)
     return Fx(code, QFormat(False, 1, cfg.mult_fmt.frac_bits))
 
@@ -505,7 +758,7 @@ def final_stage(f: Fx | None, cfg: TanhConfig, trace: TanhTrace | None = None) -
     """
     if f is not None and f.fmt != cfg.mult_fmt:
         raise ValueError(f"product must be in {cfg.mult_fmt}, got {f.fmt}")
-    plan = _prepare(cfg, None if cfg.variant is Variant.PUBLISHED else build_luts_for(cfg))
+    plan = _prepare(cfg, None)
     code = _final_code(None if f is None else f.code, plan, trace)
     return Fx(code, cfg.output_fmt)
 

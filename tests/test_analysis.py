@@ -15,8 +15,9 @@ from fxtanh.analysis import (
     table2,
 )
 from fxtanh.baselines import uniform_pwl_table
-from fxtanh.datapath import Subtractor, TanhConfig, Variant, reference_config
-from fxtanh.fxnum import QFormat
+from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, reference_config, tanh_fx
+from fxtanh.fxnum import Fx, QFormat
+from fxtanh.lutgen import GroupingScheme
 
 SMALL = TanhConfig(
     input_fmt=QFormat(True, 3, 5),
@@ -61,8 +62,30 @@ class TestExhaustiveSweep:
     def test_deterministic(self):
         assert exhaustive_sweep(SMALL) == exhaustive_sweep(SMALL)
 
-    def test_worker_count_does_not_change_the_report(self):
-        assert exhaustive_sweep(SMALL, jobs=1) == exhaustive_sweep(SMALL, jobs=3)
+    def test_report_is_a_reduction_of_single_calls(self):
+        # every subtree-table depth (group 4, 2, 1 and published registers),
+        # and one input wide enough for two 4096-code error blocks
+        roomy = replace(SMALL, lut_fmt=QFormat(False, 0, 18), mult_fmt=QFormat(False, 0, 16))
+        configs = [
+            replace(roomy, grouping=GroupingScheme(group, True), variant=variant)
+            for group in (1, 2, 4)
+            for variant in Variant
+        ]
+        configs += [replace(roomy, input_fmt=QFormat(True, 3, 9), variant=variant) for variant in Variant]
+        for cfg in configs:
+            fmt = cfg.input_fmt
+            codes = range(fmt.code_min, fmt.code_max + 1)
+            errs = []
+            for code in codes:
+                y = tanh_fx(Fx(code, fmt), cfg)
+                assert tanh_fx(Fx(code, fmt), cfg, None, TanhTrace()) == y
+                errs.append(abs(y.code * cfg.output_fmt.ulp - math.tanh(code * fmt.ulp)))
+            blocks = [math.fsum(errs[i:i + 4096]) for i in range(0, len(errs), 4096)]
+            rep = exhaustive_sweep(cfg)
+            assert rep.max_abs_error == max(errs)
+            assert rep.worst_input.code == codes[errs.index(max(errs))]
+            assert rep.mean_abs_error == math.fsum(blocks) / len(errs)
+            assert rep.samples == len(errs)
 
     def test_rejects_wide_formats(self):
         wide = replace(SMALL, input_fmt=QFormat(True, 3, 22))

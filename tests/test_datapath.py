@@ -1,5 +1,6 @@
 """Pipeline tests: velocity product, reciprocal, final stage, both variants."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from fxtanh.datapath import (
     build_luts_for,
     build_published_registers,
     final_stage,
+    magnitude_outputs,
     nr_reciprocal,
     reference_config,
     tanh_fx,
@@ -303,6 +305,28 @@ class TestPublishedVariant:
         bad = replace(self.PCFG, lut_fmt=QFormat(False, 0, 10))
         with pytest.raises(ValueError):
             tanh_fx(Fx(0, CFG.input_fmt), bad)
+
+
+class TestGoldenDigests:
+    """Exhaustive outputs of the reference configuration, frozen bit for bit.
+
+    The digest is the sha256 of the output codes as decimals joined by ','
+    in input-code order.  A change that alters any output bit must say why.
+    """
+
+    @pytest.mark.parametrize("variant,prefix", [
+        (Variant.OPTIMIZED, "6273da5e5e9c1f86"),
+        (Variant.PUBLISHED, "bf4d6dd1f9d8af11"),
+    ])
+    def test_reference_outputs(self, variant, prefix):
+        cfg = replace(CFG, variant=variant)
+        fmt = cfg.input_fmt
+        codes = [tanh_fx(Fx(c, fmt), cfg).code for c in range(fmt.code_min, fmt.code_max + 1)]
+        assert hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest().startswith(prefix)
+        # the sweep path: one output per magnitude, sign restored per code
+        mags = magnitude_outputs(cfg)
+        assert [-mags[min(-c, len(mags) - 1)] if c < 0 else mags[c]
+                for c in range(fmt.code_min, fmt.code_max + 1)] == codes
 
 
 class TestStageMonotonicity:
