@@ -13,11 +13,13 @@ configuration, not statistics.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .baselines import PwlTable, pwl_tanh, reference_tanh, taylor_tanh
+from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
 from .datapath import Subtractor, TanhConfig, Variant, magnitude_outputs
-from .fxnum import Fx, RoundMode, quantize
+from .fxnum import Fx
 
 _MAX_SWEEP_WIDTH = 24
 
@@ -57,40 +59,54 @@ class Table2Row:
 _BLOCK = 1 << 12
 
 
-def exhaustive_sweep(cfg: TanhConfig) -> ErrorReport:
-    """Sweep every input code and report max/mean error versus real tanh.
+def _reduce_errors(cfg: TanhConfig, magnitudes: Callable[[int, int], Sequence[int]]) -> tuple[float, int, float]:
+    """Max error versus real tanh over every input code, its code, and the exact error sum.
 
-    Each magnitude is evaluated once (see ``magnitude_outputs``) and every
-    input code, negative ones included, reads its output from there, as
-    ``tanh_fx`` would compute it.  Errors are summed exactly per block of
-    ``_BLOCK`` codes and the block sums exactly again; ties for the
-    maximum keep the lowest input code.
+    The method is odd: ``magnitudes(m0, m1)`` gives its rounded output codes
+    at magnitude codes m0..m1-1, negative inputs read them negated, and all
+    saturate as ``quantize`` does (negative ones at ``-code_max - 1``).  Each
+    block of ``_BLOCK`` input codes reads only its own magnitudes.  Errors
+    are summed exactly per block and the block sums exactly again; ties for
+    the maximum keep the lowest input code.
     """
-    width = cfg.input_fmt.width
-    if width > _MAX_SWEEP_WIDTH:
-        raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
-    mags = magnitude_outputs(cfg)
-    mags.append(mags[-1])               # the most negative code clamps to the largest magnitude
     lo, hi = cfg.input_fmt.code_min, cfg.input_fmt.code_max + 1
+    y_min, y_max = cfg.output_fmt.code_min, cfg.output_fmt.code_max
     in_ulp, out_ulp = cfg.input_fmt.ulp, cfg.output_fmt.ulp
     tanh = math.tanh
     max_err, worst, totals = -1.0, lo, []
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
         mid = min(max(start, 0), stop)
-        # -y - t rounds to exactly -(y + t), so negative codes need no sign flip
-        errs = [abs(y * out_ulp + tanh(c * in_ulp))
-                for c, y in zip(range(start, mid), reversed(mags[1 - mid:1 - start]))]
-        errs += [abs(y * out_ulp - tanh(c * in_ulp)) for c, y in zip(range(mid, stop), mags[mid:stop])]
+        ys = [-y for y in reversed(magnitudes(1 - mid, 1 - start))]
+        ys += magnitudes(mid, stop)
+        if min(ys) < y_min or max(ys) > y_max:
+            ys = [y_min if y < y_min else y_max if y > y_max else y for y in ys]
+        errs = [abs(y * out_ulp - tanh(c * in_ulp)) for c, y in zip(range(start, stop), ys)]
         block_max = max(errs)
         if block_max > max_err:
             max_err, worst = block_max, start + errs.index(block_max)
         totals.append(math.fsum(errs))
-    samples = hi - lo
+    return max_err, worst, math.fsum(totals)
+
+
+def exhaustive_sweep(cfg: TanhConfig) -> ErrorReport:
+    """Sweep every input code and report max/mean error versus real tanh.
+
+    Each magnitude is evaluated once (see ``magnitude_outputs``) and every
+    input code, negative ones included, reads its output from there, as
+    ``tanh_fx`` would compute it; ``_reduce_errors`` does the rest.
+    """
+    width = cfg.input_fmt.width
+    if width > _MAX_SWEEP_WIDTH:
+        raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
+    mags = magnitude_outputs(cfg)
+    mags.append(mags[-1])               # the most negative code clamps to the largest magnitude
+    max_err, worst, total = _reduce_errors(cfg, lambda m0, m1: mags[m0:m1])
+    samples = 1 << width
     return ErrorReport(
         config=cfg.describe(),
         max_abs_error=max_err,
-        mean_abs_error=math.fsum(totals) / samples,
+        mean_abs_error=total / samples,
         max_error_ulps=max_err / cfg.output_fmt.ulp,
         worst_input=Fx(worst, cfg.input_fmt),
         samples=samples,
@@ -123,29 +139,23 @@ class MethodRow:
 def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3) -> list[MethodRow]:
     """Max/mean error of both pipeline variants, PWL, and a Taylor partial sum.
 
-    All methods see the same quantized input grid.  The baselines run in
-    real arithmetic and are quantized only at the output, so their rows show
-    method error, not internal rounding error.
+    All methods see the same quantized input grid and the same exact error
+    reduction as ``exhaustive_sweep``.  The baselines run in real arithmetic
+    and are quantized only at the output (nearest even, saturating), so
+    their rows show method error, not internal rounding error.
     """
+    _check_terms(taylor_terms)
     rows = []
     for name, variant in (("optimized", Variant.OPTIMIZED), ("published", Variant.PUBLISHED)):
         rep = exhaustive_sweep(replace(cfg, variant=variant))
         rows.append(MethodRow(name, rep.max_abs_error, rep.mean_abs_error))
-    in_fmt, out_fmt = cfg.input_fmt, cfg.output_fmt
-    for name, fn in (
-        ("pwl", lambda v: pwl_tanh(v, pwl)),
-        (f"taylor-{taylor_terms}", lambda v: taylor_tanh(v, taylor_terms)),
+    ulp, scale = cfg.input_fmt.ulp, 1 << cfg.output_fmt.frac_bits
+    for name, magnitudes in (
+        ("pwl", partial(_pwl_range, pwl, ulp, scale)),
+        (f"taylor-{taylor_terms}", partial(_taylor_range, taylor_terms, ulp, scale)),
     ):
-        max_err, total = 0.0, 0.0
-        samples = in_fmt.code_max - in_fmt.code_min + 1
-        for code in range(in_fmt.code_min, in_fmt.code_max + 1):
-            v = code * in_fmt.ulp
-            y = quantize(fn(v), out_fmt, RoundMode.NEAREST_EVEN)
-            err = abs(y.value - reference_tanh(v))
-            total += err
-            if err > max_err:
-                max_err = err
-        rows.append(MethodRow(name, max_err, total / samples))
+        max_err, _, total = _reduce_errors(cfg, magnitudes)
+        rows.append(MethodRow(name, max_err, total / (1 << cfg.input_fmt.width)))
     return rows
 
 

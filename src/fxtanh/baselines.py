@@ -7,7 +7,9 @@ caller asks for it, which keeps method error separate from rounding error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 # tanh x = x - x^3/3 + 2x^5/15 - 17x^7/315 + ...
 _TAYLOR_COEFFS = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0)
@@ -66,6 +68,31 @@ def pwl_tanh(x: float, table: PwlTable) -> float:
     return -y if x < 0 else y
 
 
+def _pwl_range(table: PwlTable, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
+    """``round(pwl_tanh(m * ulp, table) * scale)`` for magnitude codes m0..m1-1.
+
+    Walks the knot segments from the one holding ``m0 * ulp``, one list per
+    segment, with ``pwl_tanh``'s own interpolation expression.
+    """
+    knots, last = table.knots, len(table.knots) - 1
+    i = bisect_right(knots, m0 * ulp, key=itemgetter(0)) - 1
+    codes = []
+    while m0 < m1 and i < last:
+        (x0, y0), (x1, y1) = knots[i], knots[i + 1]
+        end = min(m1, math.ceil(x1 / ulp))      # first code at or past x1; ulp is a power of two
+        dy, dx = y1 - y0, x1 - x0
+        codes += [round((y0 + dy * (m * ulp - x0) / dx) * scale) for m in range(m0, end)]
+        m0, i = end, i + 1
+    return codes + [round(knots[-1][1] * scale)] * (m1 - m0)
+
+
+def _check_terms(terms: int) -> None:
+    if terms < 1:
+        raise ValueError("need at least one term")
+    if terms > len(_TAYLOR_COEFFS):
+        raise ValueError(f"at most {len(_TAYLOR_COEFFS)} terms supported")
+
+
 def taylor_tanh(x: float, terms: int) -> float:
     """Partial sum of the tanh Taylor series around zero.
 
@@ -73,10 +100,7 @@ def taylor_tanh(x: float, terms: int) -> float:
     of convergence and beyond, which is what the comparison is meant to
     show.
     """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    if terms > len(_TAYLOR_COEFFS):
-        raise ValueError(f"at most {len(_TAYLOR_COEFFS)} terms supported")
+    _check_terms(terms)
     acc = 0.0
     xsq = x * x
     power = x
@@ -84,3 +108,8 @@ def taylor_tanh(x: float, terms: int) -> float:
         acc += _TAYLOR_COEFFS[k] * power
         power *= xsq
     return acc
+
+
+def _taylor_range(terms: int, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
+    """``round(taylor_tanh(m * ulp, terms) * scale)`` for magnitude codes m0..m1-1."""
+    return [round(taylor_tanh(m * ulp, terms) * scale) for m in range(m0, m1)]

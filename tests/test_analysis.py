@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from fxtanh import analysis
 from fxtanh.analysis import (
+    _BLOCK,
     clamp_threshold,
     compare_methods,
     exhaustive_sweep,
@@ -14,9 +16,9 @@ from fxtanh.analysis import (
     render_table2,
     table2,
 )
-from fxtanh.baselines import uniform_pwl_table
+from fxtanh.baselines import pwl_tanh, reference_tanh, taylor_tanh, uniform_pwl_table
 from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, reference_config, tanh_fx
-from fxtanh.fxnum import Fx, QFormat
+from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import GroupingScheme
 
 SMALL = TanhConfig(
@@ -129,6 +131,45 @@ class TestCompareMethods:
         assert rows["taylor-3"].max_abs_error > 10 * rows["optimized"].max_abs_error
         assert rows["published"].max_abs_error >= rows["optimized"].max_abs_error
         assert rows["published"].mean_abs_error > rows["optimized"].mean_abs_error
+
+    def test_baseline_rows_are_a_reduction_of_single_calls(self):
+        # Taylor-4 saturates both ways (positive inputs at code_min, negative
+        # ones at code_max); the PWL tables have empty segments (spacing below
+        # the input ulp), knots on input codes (0.25), knots between them
+        # (0.1), and a last knot inside (all but one) or beyond the input range
+        for cfg in (self.CMP, replace(self.CMP, input_fmt=QFormat(True, 3, 9))):
+            in_fmt, out_fmt = cfg.input_fmt, cfg.output_fmt
+            clamp = clamp_threshold(out_fmt.frac_bits)
+            tables = [uniform_pwl_table(0.001, clamp), uniform_pwl_table(0.25, clamp),
+                      uniform_pwl_table(0.1, clamp), uniform_pwl_table(0.5, in_fmt.max_value + 1)]
+            for terms, pwl in zip((1, 2, 3, 4), tables):
+                rows = {r.method: r for r in compare_methods(cfg, pwl, terms)}
+                baselines = (("pwl", lambda v: pwl_tanh(v, pwl)), (f"taylor-{terms}", lambda v: taylor_tanh(v, terms)))
+                for name, fn in baselines:
+                    errs = []
+                    for code in range(in_fmt.code_min, in_fmt.code_max + 1):
+                        v = code * in_fmt.ulp
+                        y = quantize(fn(v), out_fmt, RoundMode.NEAREST_EVEN)
+                        errs.append(abs(y.value - reference_tanh(v)))
+                    blocks = [math.fsum(errs[i:i + _BLOCK]) for i in range(0, len(errs), _BLOCK)]
+                    assert rows[name].max_abs_error == max(errs)
+                    assert rows[name].mean_abs_error == math.fsum(blocks) / len(errs)
+
+    def test_variant_rows_are_the_sweep_reports(self):
+        rows = {r.method: r for r in compare_methods(self.CMP, uniform_pwl_table(0.25, 2.8), 3)}
+        for name, variant in (("optimized", Variant.OPTIMIZED), ("published", Variant.PUBLISHED)):
+            rep = exhaustive_sweep(replace(self.CMP, variant=variant))
+            assert rows[name].max_abs_error == rep.max_abs_error
+            assert rows[name].mean_abs_error == rep.mean_abs_error
+
+    @pytest.mark.parametrize("terms,message", [(0, "need at least one term"), (5, "at most 4 terms supported")])
+    def test_bad_term_count_fails_before_any_sweep(self, monkeypatch, terms, message):
+        def no_sweep(cfg):
+            raise AssertionError("swept before checking the term count")
+
+        monkeypatch.setattr(analysis, "magnitude_outputs", no_sweep)
+        with pytest.raises(ValueError, match=message):
+            compare_methods(self.CMP, uniform_pwl_table(0.25, 2.8), terms)
 
     def test_published_cannot_fit_its_factor_range_in_narrow_entries(self):
         pwl = uniform_pwl_table(0.25, 2.8)
