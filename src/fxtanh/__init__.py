@@ -19,19 +19,13 @@ from .baselines import PwlTable, pwl_tanh, reference_tanh, taylor_tanh, uniform_
 from .datapath import (
     DEFAULT_NR_SEED,
     NrSeed,
-    PublishedRegisters,
     Subtractor,
     TanhConfig,
     TanhTrace,
     Variant,
     build_luts_for,
-    build_published_registers,
-    final_stage,
-    nr_reciprocal,
     reference_config,
     tanh_fx,
-    tanh_published,
-    velocity_product,
 )
 from .fxnum import (
     Fx,

@@ -16,12 +16,12 @@ Both variants share the sign-split / compute / sign-restore flow, clamp the
 magnitude at the point where tanh saturates the output format, and are exact
 for zero input and odd-symmetric by construction.
 
-Everything is a pure function over immutable configs.  The arithmetic runs
-on raw integer codes through a per-config plan.  Its kernel evaluates
-untraced single calls from the LUTs, and exhaustive sweeps from subtree
-tables that the tree's own combine fills; traced calls run the staged
-functions below, which record every intermediate value.  Tests hold all
-three bit-identical.
+Everything is a pure function over immutable configs.  The arithmetic is
+stated once, on raw integer codes, in the kernel of a per-config plan.
+Untraced single calls run it over the LUTs and exhaustive sweeps over
+subtree tables that the tree's own combine fills.  A traced call runs the
+single-call kernel with a record list and decodes its ``TanhTrace`` from
+the raw codes the kernel appends.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
 
-from .fxnum import Fx, QFormat, RoundMode, _rescale, quantize
+from .fxnum import Fx, QFormat, RoundMode, quantize
 from .lutgen import GroupingScheme, VelocityLut, build_luts, shuffle_map, velocity_factor_original
 
 
@@ -139,9 +139,10 @@ def reference_config(**overrides) -> TanhConfig:
 class TanhTrace:
     """Intermediate values of one pipeline evaluation, for inspection.
 
-    Filled by the staged functions, which compute the same bits as the
-    kernel that sweeps and untraced calls run; fields not touched by the
-    active variant stay at their defaults.
+    ``tanh_fx`` sets every field on each traced call, decoded from the raw
+    codes its kernel records, so a trace shows the bits a sweep computes.
+    Fields that the active variant or a saturated input never reaches hold
+    their defaults.
     """
 
     input: Fx | None = None
@@ -159,27 +160,19 @@ class TanhTrace:
     output: Fx | None = None
 
 
-@dataclass(frozen=True)
-class PublishedRegisters:
-    """Per-bit inverted-convention factor registers for the published variant.
+@lru_cache(maxsize=None)
+def _published_registers(
+    input_fmt: QFormat, lut_fmt: QFormat, threshold: float
+) -> tuple[tuple[int, ...], QFormat, tuple[int, ...]]:
+    """``(bits, fmt, codes)`` of the published variant's per-bit registers.
 
-    Entries share one unsigned format whose total width equals the LUT entry
-    width; the integer bits needed by the largest factor are carved out of
-    that budget, which is precisely the scaling cost the fractional-only
+    One register per magnitude bit whose weight reaches the threshold holds
+    that bit's inverted-convention factor (>= 1).  Entries share one
+    unsigned format whose total width equals the LUT entry width; the
+    integer bits needed by the largest factor are carved out of that
+    budget, which is precisely the scaling cost the fractional-only
     redefinition removes.
     """
-
-    bit_indices: tuple[int, ...]
-    fmt: QFormat
-    entries: tuple[Fx, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != len(self.bit_indices):
-            raise ValueError("one entry per covered bit required")
-
-
-@lru_cache(maxsize=None)
-def _published_registers(input_fmt: QFormat, lut_fmt: QFormat, threshold: float) -> PublishedRegisters:
     frac_in = input_fmt.frac_bits
     bits = tuple(
         i for i in range(input_fmt.int_bits + frac_in)
@@ -196,16 +189,11 @@ def _published_registers(input_fmt: QFormat, lut_fmt: QFormat, threshold: float)
             f"{int_bits} integer bits leave no fraction"
         )
     fmt = QFormat(False, int_bits, frac_bits)
-    entries = tuple(
-        quantize(velocity_factor_original(2.0 ** (i - frac_in)), fmt, RoundMode.NEAREST_EVEN)
+    codes = tuple(
+        quantize(velocity_factor_original(2.0 ** (i - frac_in)), fmt, RoundMode.NEAREST_EVEN).code
         for i in bits
     )
-    return PublishedRegisters(bits, fmt, entries)
-
-
-def build_published_registers(cfg: TanhConfig) -> PublishedRegisters:
-    """Registers for every magnitude bit whose weight reaches the threshold."""
-    return _published_registers(cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold)
+    return bits, fmt, codes
 
 
 @lru_cache(maxsize=None)
@@ -214,9 +202,15 @@ def build_luts_for(cfg: TanhConfig) -> tuple[VelocityLut, ...]:
     return tuple(build_luts(cfg.input_fmt, cfg.grouping, cfg.lut_fmt))
 
 
+@lru_cache(maxsize=None)
+def _unsigned(int_bits: int, frac_bits: int) -> QFormat:
+    """A shared unsigned format for trace fields; building one costs about 2 us."""
+    return QFormat(False, int_bits, frac_bits)
+
+
 def _half_even(shift: int, nearest: bool) -> tuple[int, int]:
     """``(bias, odd)`` such that ``(v + bias + (v >> shift & odd)) >> shift``
-    equals ``_rescale(v, shift, nearest)`` for every ``shift >= 0``."""
+    equals ``fxnum._rescale(v, shift, nearest)`` for every ``shift >= 0``."""
     if nearest and shift > 0:
         return (1 << (shift - 1)) - 1, 1
     return 0, 0
@@ -285,13 +279,16 @@ class _Plan:
     the larger of the leaf and multiplier precisions, so a leaf passed up
     past a bypassed partner (None, the exact 1.0) stays exact until the one
     rescale at the top of the tree.
+
+    Given a list as its second argument, a kernel also appends the raw
+    codes a trace shows (see ``fill_trace``).
     """
 
     __slots__ = (
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
-        "groups", "tables", "lut_frac", "c0_code", "c1_code", "x_max",
-        "reg_bits", "reg_codes", "reg_frac", "low_mask", "wide_max", "in_frac",
+        "tables", "c0_code", "c1_code", "x_max",
+        "reg_fmt", "reg_codes", "low_mask", "wide_max", "in_frac",
         "node_frac", "leaves", "order", "reduce", "kernel",
     )
 
@@ -320,41 +317,37 @@ class _Plan:
         self.c1_code = quantize(seed.c1, QFormat(False, 2, mf), RoundMode.NEAREST_EVEN).code
         self.x_max = (1 << (mf + 1)) - 1
         if cfg.variant is Variant.OPTIMIZED:
-            expected = shuffle_map(
+            groups = shuffle_map(
                 self.mag_fmt.int_bits + self.in_frac,
                 cfg.grouping.group_width,
                 cfg.grouping.shuffle,
             )
-            if len(luts) != len(expected):
+            if len(luts) != len(groups):
                 raise ValueError("LUT count does not match the grouping scheme")
-            for lut, group in zip(luts, expected):
+            for lut, group in zip(luts, groups):
                 if tuple(lut.bit_indices) != tuple(group):
                     raise ValueError(f"LUT bit indices {lut.bit_indices} do not match group {group}")
                 if lut.entry_fmt != cfg.lut_fmt:
                     raise ValueError(f"LUT entry format {lut.entry_fmt} does not match {cfg.lut_fmt}")
-            self.groups = tuple(tuple(g) for g in expected)
             self.tables = tuple(tuple(e.code for e in lut.entries) for lut in luts)
-            self.lut_frac = cfg.lut_fmt.frac_bits
-            self.node_frac = max(self.lut_frac, mf)
-            lift = self.node_frac - self.lut_frac
+            self.node_frac = max(cfg.lut_fmt.frac_bits, mf)
+            lift = self.node_frac - cfg.lut_fmt.frac_bits
             leaf_tables = [(None,) + tuple(c << lift for c in table[1:]) for table in self.tables]
-            groups = self.groups
             self.reduce = self._reducer(self.mf_mask)
         else:
-            regs = build_published_registers(cfg)
-            self.reg_bits = regs.bit_indices
-            self.reg_codes = tuple(e.code for e in regs.entries)
-            self.reg_frac = regs.fmt.frac_bits
+            bits, self.reg_fmt, self.reg_codes = _published_registers(
+                cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold
+            )
             self.low_mask = sum(
                 1 << i for i in range(self.mag_fmt.int_bits + self.in_frac)
-                if i not in regs.bit_indices
+                if i not in bits
             )
             # wide accumulator: the clamped product tops out near 2**(b+1)
             self.wide_max = (1 << (self.out_frac + 2 + mf)) - 1
-            self.node_frac = max(self.reg_frac, mf)
-            lift = self.node_frac - self.reg_frac
+            self.node_frac = max(self.reg_fmt.frac_bits, mf)
+            lift = self.node_frac - self.reg_fmt.frac_bits
             leaf_tables = [(1 << self.node_frac, c << lift) for c in self.reg_codes]
-            groups = tuple((b,) for b in self.reg_bits)
+            groups = tuple((b,) for b in bits)
             self.reduce = self._reducer(self.wide_max)
         self.order = [b for group in groups for b in group]
         offsets = [0]
@@ -429,7 +422,7 @@ class _Plan:
         up, out_shift = max(0, -out_shift), max(0, out_shift)
         out_bias, out_odd = _half_even(out_shift, out_ne)
 
-        def kernel(m: int) -> int:
+        def kernel(m: int, rec: list[int] | None = None) -> int:
             g = gather(m)
             v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
             if v is None:
@@ -437,20 +430,26 @@ class _Plan:
             f = (v + top_bias + (v >> top & top_odd)) >> top
             if f > mf_mask:
                 f = mf_mask
-            d = one + f
+            n = f ^ mf_mask if sub_ones else one - f if f else mf_mask
+            d = one + f                         # (1 + f)/2 exactly, frac mf+1
+            if rec is not None:
+                rec += g, f, n, d
             if not stages:
                 # reference row: real-valued division, one rounding at the output
                 t = (one - f) / d * scale
                 code = round(t) if out_ne else math.floor(t)
                 return code if code < out_max else out_max
-            n = f ^ mf_mask if sub_ones else min(one - f, mf_mask)
             x = c0 - (c1 * d >> d_frac)
             if x > x_max:
                 x = x_max
+            if rec is not None:
+                rec.append(x)
             for _ in rounds:
                 x = x * (two - (d * x >> d_frac)) >> mf
                 if x > x_max:
                     x = x_max
+                if rec is not None:
+                    rec.append(x)
             p = n * x << up
             code = (p + out_bias + (p >> out_shift & out_odd)) >> out_shift
             return code if code < out_max else out_max
@@ -473,12 +472,14 @@ class _Plan:
         up, out_shift = max(0, -out_shift), max(0, out_shift)
         out_bias, out_odd = _half_even(out_shift, self.out_ne)
 
-        def kernel(m: int) -> int:
+        def kernel(m: int, rec: list[int] | None = None) -> int:
             g = gather(m)
             v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
             f = (v + top_bias + (v >> top & top_odd)) >> top
             if f > wide_max:
                 f = wide_max
+            if rec is not None:
+                rec += g, f
             n = f - one
             if n <= 0:
                 t = 0
@@ -490,20 +491,59 @@ class _Plan:
                 x = c0 - (c1 * d >> d_frac)
                 if x > x_max:
                     x = x_max
+                if rec is not None:
+                    rec.append(x)
                 for _ in rounds:
                     x = x * (two - (d * x >> d_frac)) >> mf
                     if x > x_max:
                         x = x_max
+                    if rec is not None:
+                        rec.append(x)
                 t = min(n * x >> d_frac, mf_mask)
+            r = m & low_mask
+            if rec is not None:
+                rec += t, r
             sq = t * t
             sq = (sq + sq_bias + (sq >> mf & sq_odd)) >> mf
-            c = (m & low_mask) * (one - sq)
+            c = r * (one - sq)
             s = t + ((c + corr_bias + (c >> in_frac & corr_odd)) >> in_frac)
             s = (s if s < mf_mask else mf_mask) << up
             code = (s + out_bias + (s >> out_shift & out_odd)) >> out_shift
             return code if code < out_max else out_max
 
         return kernel
+
+    def fill_trace(self, trace: TanhTrace, rec: list[int]) -> None:
+        """Set the stage fields of ``trace`` from the codes a kernel call put in ``rec``.
+
+        The optimized kernel records ``g, f, n, d`` and each iterate, or
+        nothing when every address is 0 and the product is the exact 1.0;
+        the published kernel records ``g, f``, each iterate, ``t`` and the
+        residual.
+        """
+        cfg, mf = self.cfg, self.mf
+        g = rec[0] if rec else 0
+        addresses = trace.lut_addresses = [g >> offset & mask for _, offset, mask in self.leaves]
+        if cfg.variant is Variant.PUBLISHED:
+            _, f, *iterates, t, r = rec
+            one = 1 << self.reg_fmt.frac_bits
+            trace.lut_entries = [
+                Fx(c if a else one, self.reg_fmt) for a, c in zip(addresses, self.reg_codes)
+            ]
+            trace.factor = Fx(f, _unsigned(self.out_frac + 2, mf))
+            trace.pre_correction = Fx(t, cfg.mult_fmt)
+            trace.residual = Fx(r, self.mag_fmt)
+        else:
+            trace.lut_entries = [
+                Fx(table[a], cfg.lut_fmt) if a else None for a, table in zip(addresses, self.tables)
+            ]
+            if not rec:
+                return
+            _, f, n, d, *iterates = rec
+            trace.factor = Fx(f, cfg.mult_fmt)
+            trace.numerator = Fx(n, cfg.mult_fmt)
+            trace.denominator = Fx(d, _unsigned(0, mf + 1))
+        trace.nr_iterates = [Fx(x, _unsigned(1, mf)) for x in iterates]
 
 
 _plan_cache: tuple | None = None
@@ -526,139 +566,6 @@ def _prepare(cfg: TanhConfig, luts) -> _Plan:
     return plan
 
 
-def _velocity_product_code(mag_code: int, plan: _Plan, trace: TanhTrace | None) -> int | None:
-    """Product of the addressed LUT entries; None stands for the exact 1.0."""
-    vals: list[tuple[int, int] | None] = []
-    for group, table in zip(plan.groups, plan.tables):
-        addr = 0
-        for i, b in enumerate(group):
-            addr |= ((mag_code >> b) & 1) << i
-        vals.append(None if addr == 0 else (table[addr], plan.lut_frac))
-        if trace is not None:
-            trace.lut_addresses.append(addr)
-            trace.lut_entries.append(
-                None if addr == 0 else Fx(table[addr], plan.cfg.lut_fmt)
-            )
-    mf, ne = plan.mf, plan.tree_ne
-    while len(vals) > 1:
-        nxt: list[tuple[int, int] | None] = []
-        for j in range(0, len(vals) - 1, 2):
-            a, b2 = vals[j], vals[j + 1]
-            if a is None:
-                nxt.append(b2)
-            elif b2 is None:
-                nxt.append(a)
-            else:
-                ca, fa = a
-                cb, fb = b2
-                nxt.append((min(_rescale(ca * cb, fa + fb - mf, ne), plan.mf_mask), mf))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    if vals[0] is None:
-        return None
-    code, frac = vals[0]
-    if frac != mf:
-        code = min(_rescale(code, frac - mf, ne), plan.mf_mask)
-    return code
-
-
-def _nr_code(d_code: int, d_frac: int, stages: int, plan: _Plan, trace: TanhTrace | None) -> int:
-    """Newton-Raphson reciprocal of d in [0.5, 1); iterates held in 1.mf bits.
-
-    Every multiply in the loop truncates to mf fractional bits - the loop is
-    the critical path, so low product bits are dropped rather than rounded.
-    """
-    mf = plan.mf
-    x = min(plan.c0_code - _rescale(plan.c1_code * d_code, d_frac, False), plan.x_max)
-    two = 2 << mf
-    x_fmt = QFormat(False, 1, mf) if trace is not None else None
-    if trace is not None:
-        trace.nr_iterates.append(Fx(x, x_fmt))
-    for _ in range(stages):
-        p = _rescale(d_code * x, d_frac, False)
-        x = min(_rescale(x * (two - p), mf, False), plan.x_max)
-        if trace is not None:
-            trace.nr_iterates.append(Fx(x, x_fmt))
-    return x
-
-
-def _final_code(f_code: int | None, plan: _Plan, trace: TanhTrace | None) -> int:
-    """Output magnitude code from the velocity product (None = exact 1.0)."""
-    if f_code is None:
-        return 0
-    mf = plan.mf
-    one = 1 << mf
-    if plan.sub_ones:
-        n = f_code ^ plan.mf_mask
-    else:
-        n = min(one - f_code, plan.mf_mask)
-    if trace is not None:
-        trace.numerator = Fx(n, plan.cfg.mult_fmt)
-        trace.denominator = Fx(one + f_code, QFormat(False, 0, mf + 1))
-    if plan.stages == 0:
-        # reference row: real-valued division, one rounding at the output
-        t = (one - f_code) / (one + f_code)
-        scaled = t * (1 << plan.out_frac)
-        code = round(scaled) if plan.out_ne else math.floor(scaled)
-        return min(code, plan.out_max)
-    d_code = one + f_code                       # (1 + f)/2 exactly, frac mf+1
-    x = _nr_code(d_code, mf + 1, plan.stages, plan, trace)
-    # n * x * 2^-1, single rounding into the output format
-    code = _rescale(n * x, 2 * mf + 1 - plan.out_frac, plan.out_ne)
-    return min(code, plan.out_max)
-
-
-def _published_code(mag_code: int, plan: _Plan, trace: TanhTrace | None) -> int:
-    """Published-variant magnitude path: wide factor product plus correction."""
-    mf = plan.mf
-    one_reg = 1 << plan.reg_frac
-    ne = plan.tree_ne
-    vals = [
-        (plan.reg_codes[i], plan.reg_frac) if (mag_code >> b) & 1 else (one_reg, plan.reg_frac)
-        for i, b in enumerate(plan.reg_bits)
-    ]
-    if trace is not None:
-        fmt = build_published_registers(plan.cfg).fmt
-        for (code, _), b in zip(vals, plan.reg_bits):
-            trace.lut_addresses.append((mag_code >> b) & 1)
-            trace.lut_entries.append(Fx(code, fmt))
-    while len(vals) > 1:
-        nxt = []
-        for j in range(0, len(vals) - 1, 2):
-            (ca, fa), (cb, fb) = vals[j], vals[j + 1]
-            nxt.append((min(_rescale(ca * cb, fa + fb - mf, ne), plan.wide_max), mf))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    f_code, frac = vals[0]
-    if frac != mf:
-        f_code = min(_rescale(f_code, frac - mf, ne), plan.wide_max)
-    if trace is not None:
-        trace.factor = Fx(f_code, QFormat(False, plan.cfg.output_fmt.frac_bits + 2, mf))
-    one = 1 << mf
-    n = f_code - one
-    if n <= 0:
-        t_code = 0
-    elif plan.stages == 0:
-        t_code = min(math.floor(n / (f_code + one) * one), plan.mf_mask)
-    else:
-        d_code = f_code + one
-        shift = d_code.bit_length() - mf        # normalize into [0.5, 1)
-        x = _nr_code(d_code, mf + shift, plan.stages, plan, trace)
-        t_code = min(_rescale(n * x, mf + shift, False), plan.mf_mask)
-    if trace is not None:
-        trace.pre_correction = Fx(t_code, plan.cfg.mult_fmt)
-    r_code = mag_code & plan.low_mask
-    if trace is not None:
-        trace.residual = Fx(r_code, plan.mag_fmt)
-    tsq = _rescale(t_code * t_code, mf, ne)
-    one_minus_tsq = one - tsq                   # exact, one integer bit
-    corr = _rescale(r_code * one_minus_tsq, plan.in_frac, ne)
-    s_code = min(t_code + corr, plan.mf_mask)
-    return min(_rescale(s_code, mf - plan.out_frac, plan.out_ne), plan.out_max)
-
-
 def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -> Fx:
     """Evaluate the configured pipeline for one input code.
 
@@ -666,7 +573,8 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
     beyond the clamp threshold, runs the configured variant on the
     magnitude, and restores the sign.  ``luts`` must be the tables built
     from ``cfg`` (see ``build_luts_for``), or None to have them built; the
-    published variant fetches its registers itself.
+    published variant builds its registers itself.  A ``trace`` gets every
+    field set from this call, whatever it held before.
     """
     if x.fmt is not cfg.input_fmt and x.fmt != cfg.input_fmt:
         raise ValueError(f"input is {x.fmt} but the configuration expects {cfg.input_fmt}")
@@ -675,27 +583,16 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
     mag_code = -x.code if negative else x.code
     if mag_code > plan.mag_max:        # most-negative code saturates
         mag_code = plan.mag_max
-    if trace is None:
-        if plan.sat_code is not None and mag_code >= plan.sat_code:
-            code = plan.out_max
-        else:
-            code = plan.kernel(mag_code)
-        return Fx(-code if negative else code, cfg.output_fmt)
-    trace.input = x
-    trace.negative = negative
-    trace.magnitude = Fx(mag_code, plan.mag_fmt)
-    if plan.sat_code is not None and mag_code >= plan.sat_code:
-        trace.saturated = True
-        trace.output = Fx(-plan.out_max if negative else plan.out_max, cfg.output_fmt)
-        return trace.output
-    if cfg.variant is Variant.PUBLISHED:
-        code = _published_code(mag_code, plan, trace)
-    else:
-        f_code = _velocity_product_code(mag_code, plan, trace)
-        trace.factor = None if f_code is None else Fx(f_code, cfg.mult_fmt)
-        code = _final_code(f_code, plan, trace)
-    trace.output = Fx(-code if negative else code, cfg.output_fmt)
-    return trace.output
+    saturated = plan.sat_code is not None and mag_code >= plan.sat_code
+    rec = None if trace is None else []
+    code = plan.out_max if saturated else plan.kernel(mag_code, rec)
+    y = Fx(-code if negative else code, cfg.output_fmt)
+    if trace is not None:
+        # re-initialising resets the fields this call does not reach
+        trace.__init__(x, negative, Fx(mag_code, plan.mag_fmt), saturated, output=y)
+        if not saturated:
+            plan.fill_trace(trace, rec)
+    return y
 
 
 def magnitude_outputs(cfg: TanhConfig) -> array:
@@ -712,61 +609,3 @@ def magnitude_outputs(cfg: TanhConfig) -> array:
     codes = array("q", map(plan.sweep_kernel(), range(live)))
     codes.extend(repeat(plan.out_max, count - live))
     return codes
-
-
-def velocity_product(magnitude: Fx, cfg: TanhConfig, luts, trace: TanhTrace | None = None) -> Fx | None:
-    """Product of the per-group factors addressed by a clamped magnitude.
-
-    Entries are combined pairwise through a balanced tree at multiplier
-    precision; groups whose address is zero are bypassed and contribute an
-    exact 1.0.  Returns None when every group is bypassed - the exact 1.0
-    has no code in a fractional-only format.
-    """
-    if magnitude.fmt != cfg.input_fmt.magnitude_format():
-        raise ValueError(f"magnitude must be {cfg.input_fmt.magnitude_format()}, got {magnitude.fmt}")
-    plan = _prepare(cfg, luts)
-    code = _velocity_product_code(magnitude.code, plan, trace)
-    return None if code is None else Fx(code, cfg.mult_fmt)
-
-
-def nr_reciprocal(d: Fx, stages: int, cfg: TanhConfig, trace: TanhTrace | None = None) -> Fx:
-    """Reciprocal of d in [0.5, 1) after `stages` refinements of the seed.
-
-    The caller is responsible for compensating any normalization shift it
-    applied to bring d into range.
-    """
-    if d.fmt.signed:
-        raise ValueError("denominator must be unsigned")
-    frac = d.fmt.frac_bits
-    if frac < 1 or not (1 << (frac - 1)) <= d.code < (1 << frac):
-        raise ValueError(f"denominator {d.value} outside [0.5, 1)")
-    if stages < 0:
-        raise ValueError("stage count cannot be negative")
-    plan = _prepare(cfg, None)
-    code = _nr_code(d.code, frac, stages, plan, trace)
-    return Fx(code, QFormat(False, 1, cfg.mult_fmt.frac_bits))
-
-
-def final_stage(f: Fx | None, cfg: TanhConfig, trace: TanhTrace | None = None) -> Fx:
-    """Map the velocity product to the output format: (1 - f)/(1 + f).
-
-    ``None`` is the bypass representation of the exact 1.0 and maps to an
-    exact zero.  The numerator uses the configured subtractor; the
-    denominator is formed by bit concatenation and halved by a lossless
-    shift of the binary point; the reciprocal's pre-shift is compensated in
-    the single final rescale.
-    """
-    if f is not None and f.fmt != cfg.mult_fmt:
-        raise ValueError(f"product must be in {cfg.mult_fmt}, got {f.fmt}")
-    plan = _prepare(cfg, None)
-    code = _final_code(None if f is None else f.code, plan, trace)
-    return Fx(code, cfg.output_fmt)
-
-
-def tanh_published(x: Fx, cfg: TanhConfig, registers: PublishedRegisters, trace: TanhTrace | None = None) -> Fx:
-    """Evaluate the per-bit register variant with small-angle correction."""
-    if registers != build_published_registers(cfg):
-        raise ValueError("registers do not match the configuration")
-    if cfg.variant is not Variant.PUBLISHED:
-        cfg = replace(cfg, variant=Variant.PUBLISHED)
-    return tanh_fx(x, cfg, None, trace)

@@ -1,7 +1,13 @@
-"""Pipeline tests: velocity product, reciprocal, final stage, both variants."""
+"""Pipeline tests: velocity product, reciprocal, final stage, both variants.
+
+Stage-level tests read the intermediate values a ``TanhTrace`` records,
+which come from the same kernel that untraced calls and sweeps run.
+"""
 
 import hashlib
 import math
+import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,14 +21,9 @@ from fxtanh.datapath import (
     TanhTrace,
     Variant,
     build_luts_for,
-    build_published_registers,
-    final_stage,
     magnitude_outputs,
-    nr_reciprocal,
     reference_config,
     tanh_fx,
-    tanh_published,
-    velocity_product,
 )
 from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize, to_real
 from fxtanh.lutgen import GroupingScheme, shuffle_map, velocity_factor
@@ -35,6 +36,20 @@ OUT_ULP = CFG.output_fmt.ulp
 
 def _in(value: float) -> Fx:
     return quantize(value, CFG.input_fmt, RoundMode.NEAREST_EVEN)
+
+
+def _trace(code: int, cfg: TanhConfig = CFG) -> TanhTrace:
+    """The trace of one input code, given as a magnitude or a signed code."""
+    trace = TanhTrace()
+    tanh_fx(Fx(code, cfg.input_fmt), cfg, None, trace)
+    return trace
+
+
+# unsaturated magnitudes of the reference configuration: 1 gives the
+# largest denominator, HALF the factor nearest 0.5 (d nearest 0.75), and
+# LAST the smallest factor and denominator
+HALF = 1420
+LAST = math.floor(math.atanh(1.0 - OUT_ULP) / CFG.input_fmt.ulp) - 1
 
 
 def _real_nr(d: float, stages: int, seed: NrSeed = NrSeed()) -> float:
@@ -78,39 +93,40 @@ class TestConfigValidation:
 
 
 class TestNrReciprocal:
-    def test_exact_half_converges_to_two(self):
-        d = Fx(1 << 16, QFormat(False, 0, 17))
-        r = nr_reciprocal(d, 3, CFG)
-        assert abs(to_real(r) - 2.0) <= CFG.mult_fmt.ulp
+    """The last iterate of a traced call against the reciprocal of its denominator."""
+
+    def test_smallest_denominator_converges_to_two(self):
+        trace = _trace(LAST)
+        assert not trace.saturated
+        assert trace.denominator.code == (1 << 16) + 1     # 0.5 + 2^-17
+        assert abs(to_real(trace.nr_iterates[-1]) - 2.0) <= CFG.mult_fmt.ulp
 
     def test_near_one_converges_to_one(self):
-        d = Fx((1 << 17) - 1, QFormat(False, 0, 17))
-        r = nr_reciprocal(d, 3, CFG)
-        assert abs(to_real(r) - 1.0) <= 2 * CFG.mult_fmt.ulp
+        trace = _trace(1)
+        d = to_real(trace.denominator)
+        assert d > 1.0 - 2.0 ** -11
+        assert abs(to_real(trace.nr_iterates[-1]) - 1.0 / d) <= 2 * CFG.mult_fmt.ulp
 
     def test_three_quarters_matches_real_arithmetic(self):
-        d = Fx(3 << 15, QFormat(False, 0, 17))
-        r = nr_reciprocal(d, 3, CFG)
-        assert abs(to_real(r) - _real_nr(0.75, 3)) <= CFG.mult_fmt.ulp
-        assert to_real(r) == pytest.approx(4.0 / 3.0, abs=2 * CFG.mult_fmt.ulp)
-
-    def test_rejects_out_of_range_denominator(self):
-        with pytest.raises(ValueError):
-            nr_reciprocal(Fx(1 << 15, QFormat(False, 0, 17)), 3, CFG)  # 0.25
-        with pytest.raises(ValueError):
-            nr_reciprocal(Fx(1 << 16, QFormat(False, 1, 16)), 3, CFG)  # 1.0
+        trace = _trace(HALF)
+        d = to_real(trace.denominator)
+        assert abs(d - 0.75) <= 8 * 2.0 ** -17
+        r = to_real(trace.nr_iterates[-1])
+        assert abs(r - _real_nr(d, 3)) <= CFG.mult_fmt.ulp
+        assert r == pytest.approx(1.0 / d, abs=2 * CFG.mult_fmt.ulp)
 
     def test_zero_stages_returns_the_seed(self):
-        d = Fx(3 << 15, QFormat(False, 0, 17))
-        r = nr_reciprocal(d, 0, CFG)
-        assert to_real(r) == pytest.approx(2.5 - 1.5 * 0.75, abs=2 * CFG.mult_fmt.ulp)
+        trace = _trace(HALF)
+        d = to_real(trace.denominator)
+        assert len(trace.nr_iterates) == CFG.nr_stages + 1
+        assert to_real(trace.nr_iterates[0]) == pytest.approx(2.5 - 1.5 * d, abs=2 * CFG.mult_fmt.ulp)
 
     @settings(max_examples=50)
-    @given(st.integers(min_value=1 << 16, max_value=(1 << 17) - 1))
+    @given(st.integers(min_value=1, max_value=LAST))
     def test_tracks_real_iteration_within_quantization_noise(self, code):
-        d = Fx(code, QFormat(False, 0, 17))
-        r = nr_reciprocal(d, 3, CFG)
-        assert abs(to_real(r) - _real_nr(code / (1 << 17), 3)) <= 4 * CFG.mult_fmt.ulp
+        trace = _trace(code)
+        r = to_real(trace.nr_iterates[-1])
+        assert abs(r - _real_nr(to_real(trace.denominator), 3)) <= 4 * CFG.mult_fmt.ulp
 
     def test_real_iteration_error_squares_each_stage(self):
         for i in range(256):
@@ -127,28 +143,30 @@ class TestNrReciprocal:
 
 class TestVelocityProduct:
     def test_zero_magnitude_is_exact_one(self):
-        assert velocity_product(Fx(0, MAG_FMT), CFG, LUTS) is None
+        trace = _trace(0)
+        assert trace.factor is None
+        assert trace.lut_entries == [None] * len(LUTS)
 
     def test_single_set_bit_is_one_entry_requantized(self):
-        mag = Fx(1 << 14, MAG_FMT)     # weight 4, alone in its group
-        f = velocity_product(mag, CFG, LUTS)
+        f = _trace(1 << 14).factor      # weight 4, alone in its group
         entry = quantize(velocity_factor(4.0), CFG.lut_fmt, RoundMode.NEAREST_EVEN)
         expected = max(entry.code, 1) >> (18 - 16)
         assert f.code in (expected, expected + 1)   # requantization rounding
         assert f.fmt == CFG.mult_fmt
 
     def test_unit_magnitude_tracks_exponential(self):
-        f = velocity_product(Fx(1 << 12, MAG_FMT), CFG, LUTS)
+        f = _trace(1 << 12).factor
         assert abs(to_real(f) - math.exp(-2.0)) <= 4 * CFG.mult_fmt.ulp
 
     def test_rejects_wrong_magnitude_format(self):
+        # the unsigned magnitude format is not the input format
         with pytest.raises(ValueError):
-            velocity_product(Fx(0, QFormat(False, 0, 15)), CFG, LUTS)
+            tanh_fx(Fx(0, MAG_FMT), CFG, LUTS)
 
     def test_rejects_mismatched_luts(self):
         other = build_luts_for(reference_config(grouping=GroupingScheme(2, False)))
         with pytest.raises(ValueError):
-            velocity_product(Fx(0, MAG_FMT), CFG, other)
+            tanh_fx(Fx(0, CFG.input_fmt), CFG, other)
 
     @settings(max_examples=200)
     @given(
@@ -174,29 +192,34 @@ class TestVelocityProduct:
 
 
 class TestFinalStage:
+    """The output of a traced call against (1 - f)/(1 + f) of its traced factor."""
+
     def test_exact_one_maps_to_zero(self):
-        assert final_stage(None, CFG).code == 0
+        trace = _trace(0)
+        assert trace.factor is None and trace.numerator is None
+        assert trace.output.code == 0
 
     def test_half_factor_gives_one_third(self):
-        t = final_stage(Fx(1 << 15, CFG.mult_fmt), CFG)
-        assert abs(to_real(t) - 1.0 / 3.0) <= 2 * OUT_ULP
+        trace = _trace(HALF)
+        f = to_real(trace.factor)
+        assert abs(f - 0.5) <= 8 * CFG.mult_fmt.ulp
+        assert abs(to_real(trace.output) - (1 - f) / (1 + f)) <= 2 * OUT_ULP
 
     def test_subtractor_modes_differ_by_at_most_one_mult_ulp_propagated(self):
         ones_cfg = replace(CFG, subtractor=Subtractor.ONES)
-        for code in range(1, 1 << 16, 251):
-            f = Fx(code, CFG.mult_fmt)
-            d = abs(final_stage(f, CFG).code - final_stage(f, ones_cfg).code)
+        for code in range(1, LAST + 1, 89):
+            twos, ones = _trace(code), _trace(code, ones_cfg)
+            assert twos.factor == ones.factor
+            d = abs(twos.output.code - ones.output.code)
             assert d * OUT_ULP <= CFG.mult_fmt.ulp + OUT_ULP / 2
 
     def test_oracle_divider_row(self):
         oracle_cfg = replace(CFG, nr_stages=0)
-        f = Fx(1 << 15, CFG.mult_fmt)
-        t = final_stage(f, oracle_cfg)
-        assert t == quantize(1.0 / 3.0, CFG.output_fmt, RoundMode.NEAREST_EVEN)
-
-    def test_rejects_wrong_product_format(self):
-        with pytest.raises(ValueError):
-            final_stage(Fx(1, CFG.lut_fmt), CFG)
+        for code in range(0, LAST + 1, 7):
+            trace = _trace(code, oracle_cfg)
+            f = 1.0 if trace.factor is None else to_real(trace.factor)
+            assert trace.nr_iterates == []
+            assert trace.output == quantize((1 - f) / (1 + f), CFG.output_fmt, RoundMode.NEAREST_EVEN)
 
 
 class TestTanhFx:
@@ -255,6 +278,15 @@ class TestTanhFx:
         assert all(a == 0 for a in trace.lut_addresses)
         assert trace.output.code == 0
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("first,second", [(0.8125, 6.5), (0.8125, -2.25)])
+    def test_reused_trace_equals_a_fresh_one(self, variant, first, second):
+        cfg = replace(CFG, variant=variant)
+        reused = TanhTrace()
+        tanh_fx(_in(first), cfg, None, reused)
+        tanh_fx(_in(second), cfg, None, reused)
+        assert reused == _trace(_in(second).code, cfg)
+
 
 class TestPublishedVariant:
     PCFG = replace(CFG, variant=Variant.PUBLISHED)
@@ -263,11 +295,13 @@ class TestPublishedVariant:
         assert tanh_fx(Fx(0, CFG.input_fmt), self.PCFG).code == 0
 
     def test_register_coverage(self):
-        regs = build_published_registers(self.PCFG)
+        code = _in(2.718).code
+        trace = _trace(code, self.PCFG)
         # weights 2^-7 .. 2^2 of an s3.12 magnitude: ten registers
-        assert regs.bit_indices == tuple(range(5, 15))
-        assert len(regs.entries) == 10
-        assert regs.fmt.width == self.PCFG.lut_fmt.width
+        assert trace.lut_addresses == [(code >> b) & 1 for b in range(5, 15)]
+        assert len(trace.lut_entries) == 10
+        assert all(e.fmt.width == self.PCFG.lut_fmt.width for e in trace.lut_entries)
+        assert to_real(trace.residual) == (code & 31) * CFG.input_fmt.ulp
 
     def test_low_bits_only_pass_through_exactly(self):
         # below the register threshold the whole input is the residual and
@@ -293,18 +327,48 @@ class TestPublishedVariant:
 
     def test_entry_points_agree(self):
         x = _in(1.25)
-        regs = build_published_registers(self.PCFG)
-        assert tanh_published(x, self.PCFG, regs) == tanh_fx(x, self.PCFG)
-
-    def test_rejects_foreign_registers(self):
-        other = build_published_registers(replace(self.PCFG, published_threshold=2.0 ** -5))
-        with pytest.raises(ValueError):
-            tanh_published(_in(1.0), self.PCFG, other)
+        trace = TanhTrace()
+        y = tanh_fx(x, self.PCFG, None, trace)
+        assert y == trace.output == tanh_fx(x, self.PCFG)
+        assert y.code == magnitude_outputs(self.PCFG)[x.code]
 
     def test_narrow_entries_cannot_hold_the_factor_range(self):
         bad = replace(self.PCFG, lut_fmt=QFormat(False, 0, 10))
         with pytest.raises(ValueError):
             tanh_fx(Fx(0, CFG.input_fmt), bad)
+
+
+def _small(int_bits, frac_bits, out_bits, lut_bits, mult_bits, **kw) -> TanhConfig:
+    return TanhConfig(
+        QFormat(True, int_bits, frac_bits), QFormat(True, 0, out_bits),
+        QFormat(False, 0, lut_bits), QFormat(False, 0, mult_bits), **kw,
+    )
+
+
+_TR = RoundMode.TRUNCATE
+_PUB = Variant.PUBLISHED
+
+# the reference configuration plus small ones; between them both variants,
+# groups 1/2/4 with and without shuffle, NR 0-3, both subtractors, both
+# roundings, three thresholds and outputs scaled up as well as down
+DIGEST_CONFIGS = [
+    CFG,
+    replace(CFG, variant=_PUB),
+    _small(3, 5, 7, 10, 8, grouping=GroupingScheme(1, False), nr_stages=0),
+    _small(3, 6, 8, 11, 9, grouping=GroupingScheme(2, True), nr_stages=1, subtractor=Subtractor.ONES,
+           internal_round=_TR, output_round=_TR),
+    _small(2, 7, 9, 12, 10, grouping=GroupingScheme(2, False), nr_stages=2, output_round=_TR),
+    _small(3, 6, 9, 12, 10, grouping=GroupingScheme(4, False), nr_stages=3, subtractor=Subtractor.ONES,
+           internal_round=_TR),
+    _small(1, 8, 10, 12, 11, grouping=GroupingScheme(4, True), nr_stages=0, subtractor=Subtractor.ONES),
+    _small(3, 6, 8, 10, 12, grouping=GroupingScheme(1, True), nr_stages=2),
+    _small(2, 5, 12, 9, 5, grouping=GroupingScheme(2, True), nr_stages=3, subtractor=Subtractor.ONES),
+    _small(2, 7, 9, 14, 10, variant=_PUB, nr_stages=1, published_threshold=2.0 ** -4,
+           internal_round=_TR, output_round=_TR),
+    _small(3, 6, 8, 18, 12, variant=_PUB, nr_stages=2),
+    _small(1, 8, 10, 12, 11, variant=_PUB, nr_stages=3, published_threshold=2.0 ** -3, output_round=_TR),
+    _small(2, 6, 12, 14, 8, variant=_PUB, nr_stages=0, published_threshold=2.0 ** -4, internal_round=_TR),
+]
 
 
 class TestGoldenDigests:
@@ -313,6 +377,19 @@ class TestGoldenDigests:
     The digest is the sha256 of the output codes as decimals joined by ','
     in input-code order.  A change that alters any output bit must say why.
     """
+
+    def test_small_configs_and_traces(self):
+        # frozen from the staged pipeline that once ran every traced call,
+        # as a cross-check of the kernel's outputs and trace decoding
+        outputs, traces = hashlib.sha256(), hashlib.sha256()
+        for n, cfg in enumerate(DIGEST_CONFIGS):
+            codes = range(cfg.input_fmt.code_min, cfg.input_fmt.code_max + 1)
+            ys = [tanh_fx(Fx(c, cfg.input_fmt), cfg).code for c in codes]
+            outputs.update((",".join(map(str, ys)) + ";").encode())
+            for c in random.Random(n).sample(codes, 64):
+                traces.update((repr(_trace(c, cfg)) + "\n").encode())
+        assert outputs.hexdigest()[:16] == "9ca76c19271da6f7"
+        assert traces.hexdigest()[:16] == "89d26a8097a883c4"
 
     @pytest.mark.parametrize("variant,prefix", [
         (Variant.OPTIMIZED, "6273da5e5e9c1f86"),
@@ -344,3 +421,55 @@ class TestStageMonotonicity:
                 worst = max(worst, abs(to_real(y) - math.tanh(code * cfg.input_fmt.ulp)))
             return worst
         assert max_err(replace(small, nr_stages=3)) <= max_err(replace(small, nr_stages=2))
+
+
+_REFUSALS = re.compile(r"threshold leaves no register bits|\d+-bit entries cannot hold factors up to .*")
+
+
+@st.composite
+def _small_configs(draw) -> TanhConfig:
+    int_bits = draw(st.integers(0, 3))
+    return _small(
+        int_bits,
+        draw(st.integers(1, 9 - int_bits)),          # at most 10 input bits
+        draw(st.integers(2, 14)),
+        draw(st.integers(4, 18)),
+        draw(st.integers(4, 16)),
+        grouping=GroupingScheme(draw(st.sampled_from([1, 2, 4])), draw(st.booleans())),
+        nr_stages=draw(st.integers(0, 3)),
+        subtractor=draw(st.sampled_from(list(Subtractor))),
+        variant=draw(st.sampled_from(list(Variant))),
+        published_threshold=2.0 ** -draw(st.integers(0, 10)),
+        internal_round=draw(st.sampled_from(list(RoundMode))),
+        output_round=draw(st.sampled_from(list(RoundMode))),
+    )
+
+
+class TestRandomConfigs:
+    @settings(max_examples=40, deadline=None)
+    @given(_small_configs())
+    def test_invariants_hold_on_every_code(self, cfg):
+        fmt, out_max = cfg.input_fmt, cfg.output_fmt.code_max
+        try:
+            mags = magnitude_outputs(cfg)
+        except ValueError as e:
+            # the published registers are refused at the first evaluation
+            assert cfg.variant is Variant.PUBLISHED and _REFUSALS.fullmatch(str(e)), e
+            with pytest.raises(ValueError, match=_REFUSALS):
+                tanh_fx(Fx(0, fmt), cfg)
+            return
+        clamp = math.atanh(1.0 - cfg.output_fmt.ulp)
+        ys = {}
+        for c in range(fmt.code_min, fmt.code_max + 1):
+            trace = TanhTrace()
+            y = tanh_fx(Fx(c, fmt), cfg, None, trace)
+            assert y == trace.output == tanh_fx(Fx(c, fmt), cfg)
+            m = min(abs(c), fmt.code_max)      # the most-negative code's magnitude saturates
+            assert y.code == (-mags[m] if c < 0 else mags[m])
+            assert abs(y.code) <= out_max
+            if m * fmt.ulp >= clamp:
+                assert abs(y.code) == out_max
+            ys[c] = y.code
+        assert ys[0] == 0
+        assert all(ys[-c] == -ys[c] for c in range(1, fmt.code_max + 1))
+
