@@ -27,8 +27,9 @@ _MAX_SWEEP_WIDTH = 24
 def clamp_threshold(b: int) -> float:
     """Input magnitude beyond which tanh saturates a b-fraction-bit output.
 
-    Equals artanh(1 - 2**-b) = ln(2**(b+1) - 1)/2; past this point the
-    remaining gap to 1 is below half an output ulp.
+    Equals artanh(1 - 2**-b) = ln(2**(b+1) - 1)/2: past this point tanh
+    lies above the largest output code, 1 - 2**-b, and its remaining gap to
+    1 is below one output ulp.
     """
     if b < 1:
         raise ValueError("need at least one fractional output bit")
@@ -64,28 +65,37 @@ def _reduce_errors(cfg: TanhConfig, magnitudes: Callable[[int, int], Sequence[in
 
     The method is odd: ``magnitudes(m0, m1)`` gives its rounded output codes
     at magnitude codes m0..m1-1, negative inputs read them negated, and all
-    saturate as ``quantize`` does (negative ones at ``-code_max - 1``).  Each
-    block of ``_BLOCK`` input codes reads only its own magnitudes.  Errors
-    are summed exactly per block and the block sums exactly again; ties for
-    the maximum keep the lowest input code.
+    saturate as ``quantize`` does (negative ones at ``-code_max - 1``).
+    Blocks of ``_BLOCK`` input codes pair up as mirror images: negative
+    codes -m1..-m0-1 and positive codes m0..m1-1 read one range of
+    magnitudes, m0..m1, with one ``math.tanh`` call each.  ``math.tanh`` is
+    exactly odd, so the negative side has the positive side's errors unless
+    some |y| exceeds ``code_max`` and the sides saturate apart.  Errors are
+    summed exactly per block and the block sums exactly again; ties for the
+    maximum keep the lowest input code.
     """
-    lo, hi = cfg.input_fmt.code_min, cfg.input_fmt.code_max + 1
+    half = cfg.input_fmt.code_max + 1
     y_min, y_max = cfg.output_fmt.code_min, cfg.output_fmt.code_max
     in_ulp, out_ulp = cfg.input_fmt.ulp, cfg.output_fmt.ulp
     tanh = math.tanh
-    max_err, worst, totals = -1.0, lo, []
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        mid = min(max(start, 0), stop)
-        ys = [-y for y in reversed(magnitudes(1 - mid, 1 - start))]
-        ys += magnitudes(mid, stop)
-        if min(ys) < y_min or max(ys) > y_max:
-            ys = [y_min if y < y_min else y_max if y > y_max else y for y in ys]
-        errs = [abs(y * out_ulp - tanh(c * in_ulp)) for c, y in zip(range(start, stop), ys)]
-        block_max = max(errs)
-        if block_max > max_err:
-            max_err, worst = block_max, start + errs.index(block_max)
-        totals.append(math.fsum(errs))
+    step = min(_BLOCK, half)            # below _BLOCK, one block holds both sides
+    max_err, worst, totals = -1.0, 0, []
+    for m0 in range(0, half, step):
+        ms = range(m0, m0 + step + 1)
+        ys = magnitudes(m0, ms.stop)
+        if max(ys) > y_max or min(ys) < -y_max:     # only baselines leave the output range
+            ts = [tanh(m * in_ulp) for m in ms]
+            pos = [abs(min(max(y, y_min), y_max) * out_ulp - t) for y, t in zip(ys, ts)]
+            neg = [abs(min(max(-y, y_min), y_max) * out_ulp + t) for y, t in zip(ys, ts)]
+        else:
+            pos = neg = [abs(y * out_ulp - tanh(m * in_ulp)) for y, m in zip(ys, ms)]
+        pos, neg = pos[:-1], neg[:0:-1]         # codes m0..m1-1, and -m1..-m0-1
+        for errs, first in ((neg, -m0 - step), (pos, m0)):
+            block_max = max(errs)
+            code = first + errs.index(block_max)
+            if block_max > max_err or (block_max == max_err and code < worst):
+                max_err, worst = block_max, code
+        totals += (math.fsum(neg), math.fsum(pos)) if step == _BLOCK else (math.fsum(neg + pos),)
     return max_err, worst, math.fsum(totals)
 
 

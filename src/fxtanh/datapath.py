@@ -17,11 +17,15 @@ magnitude at the point where tanh saturates the output format, and are exact
 for zero input and odd-symmetric by construction.
 
 Everything is a pure function over immutable configs.  The arithmetic is
-stated once, on raw integer codes, in the kernel of a per-config plan.
-Untraced single calls run it over the LUTs and exhaustive sweeps over
-subtree tables that the tree's own combine fills.  A traced call runs the
-single-call kernel with a record list and decodes its ``TanhTrace`` from
-the raw codes the kernel appends.
+stated once, on raw integer codes, in the parts of a per-config plan: the
+product tree up to the root's two children, the root's combine, which gives
+``f``, and the final stage from ``f`` to the output (for the published
+variant, to ``t`` and then a correction per residual).  A single call
+composes the parts over the LUTs; a traced one also decodes its
+``TanhTrace`` from the raw codes the parts record.  A sweep tabulates the
+root's children from subtree tables, fills ``f`` for every gathered address
+a row at a time, then walks the magnitudes in order and runs the final
+stage only where ``f`` changes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, product, repeat
 
 from .fxnum import Fx, QFormat, RoundMode, quantize
 from .lutgen import GroupingScheme, VelocityLut, build_luts, shuffle_map, velocity_factor_original
@@ -230,58 +234,56 @@ def _tree_steps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _gather(order: list[int], by_bytes: bool):
+def _gather(order: list[int]):
     """Map m to its bits ``order[0], order[1], ...`` packed from bit 0 up.
 
-    Consecutive bits are one shift.  Otherwise single calls move bit by
-    bit, and sweeps read one byte-to-address table per byte of m.
+    Consecutive bits are one shift; otherwise bits move one at a time.
     """
     first = order[0]
     if order == list(range(first, first + len(order))):
         return lambda m: m >> first
-    if not by_bytes:
-        moves = tuple(enumerate(order))
-
-        def gather(m: int) -> int:
-            g = 0
-            for p, b in moves:
-                g |= (m >> b & 1) << p
-            return g
-
-        return gather
-    position = {b: p for p, b in enumerate(order)}
-    width = max(order) + 1
-    tables = []
-    for lo in range(0, width, 8):
-        table = [0] * (1 << min(8, width - lo))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | 1 << position[lo + low.bit_length() - 1]
-        tables.append(table)
+    moves = tuple(enumerate(order))
 
     def gather(m: int) -> int:
         g = 0
-        for table in tables:
-            g |= table[m & 255]
-            m >>= 8
+        for p, b in moves:
+            g |= (m >> b & 1) << p
         return g
 
     return gather
 
 
+def _gathered_addresses(order: list[int]):
+    """``_gather(order)`` of m = 0, 1, 2, ..., for an order over every bit of m.
+
+    A table per byte of m gives that byte's disjoint part of the address.
+    """
+    position = {b: p for p, b in enumerate(order)}
+    tables = []
+    for lo in range(0, len(order), 8):
+        table = [0] * (1 << min(8, len(order) - lo))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << position[lo + low.bit_length() - 1]
+        tables.append(table)
+    return map(sum, product(*reversed(tables)))
+
+
 class _Plan:
     """Raw-integer view of one (config, luts) pair, built once per pair.
 
-    ``kernel`` maps an unsaturated magnitude code to its output magnitude
-    code.  It reads leaves: ``(table, offset, mask)`` triples whose address
-    is the field ``g >> offset & mask`` of the magnitude's bits gathered in
-    leaf order.  Tree values are integers at ``node_frac`` fraction bits,
-    the larger of the leaf and multiplier precisions, so a leaf passed up
-    past a bypassed partner (None, the exact 1.0) stays exact until the one
-    rescale at the top of the tree.
+    ``kernel`` maps an unsaturated magnitude to its output magnitude code.
+    It reads leaves: ``(table, offset, mask)`` triples whose address is the
+    field ``g >> offset & mask`` of the magnitude's bits gathered in leaf
+    order.  Tree values are integers at ``node_frac`` fraction bits, the
+    larger of the leaf and multiplier precisions, so a leaf passed up past a
+    bypassed partner (None, the exact 1.0) stays exact until ``root`` rounds
+    it to f.  ``final`` maps f to the output magnitude code, or for the
+    published variant to ``t``, which ``correct`` folds with each residual.
+    ``sweep`` runs the same parts over every magnitude below a bound.
 
-    Given a list as its second argument, a kernel also appends the raw
-    codes a trace shows (see ``fill_trace``).
+    Given a list as its last argument, ``kernel`` and ``final`` also append
+    the raw codes a trace shows (see ``fill_trace``).
     """
 
     __slots__ = (
@@ -289,7 +291,7 @@ class _Plan:
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
         "tables", "c0_code", "c1_code", "x_max",
         "reg_fmt", "reg_codes", "low_mask", "wide_max", "in_frac",
-        "node_frac", "leaves", "order", "reduce", "kernel",
+        "node_frac", "leaves", "order", "reduce", "root", "final", "correct", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
@@ -333,7 +335,7 @@ class _Plan:
             self.node_frac = max(cfg.lut_fmt.frac_bits, mf)
             lift = self.node_frac - cfg.lut_fmt.frac_bits
             leaf_tables = [(None,) + tuple(c << lift for c in table[1:]) for table in self.tables]
-            self.reduce = self._reducer(self.mf_mask)
+            self.reduce, self.root = self._reducer(self.mf_mask)
         else:
             bits, self.reg_fmt, self.reg_codes = _published_registers(
                 cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold
@@ -348,7 +350,7 @@ class _Plan:
             lift = self.node_frac - self.reg_fmt.frac_bits
             leaf_tables = [(1 << self.node_frac, c << lift) for c in self.reg_codes]
             groups = tuple((b,) for b in bits)
-            self.reduce = self._reducer(self.wide_max)
+            self.reduce, self.root = self._reducer(self.wide_max)
         self.order = [b for group in groups for b in group]
         offsets = [0]
         for group in groups:
@@ -357,10 +359,23 @@ class _Plan:
             (table, offset, (1 << len(group)) - 1)
             for table, offset, group in zip(leaf_tables, offsets, groups)
         )
-        self.kernel = self._kernel(self.leaves, _gather(self.order, by_bytes=False))
+        if cfg.variant is Variant.PUBLISHED:
+            self.final, self.correct = self._published()
+        else:
+            self.final, self.correct, self.low_mask = self._optimized(), None, 0
+        self.kernel = self._kernel(_gather(self.order))
 
     def _reducer(self, clamp: int):
-        """The product tree's combine, applied in place along a step list."""
+        """The product tree's combine, as ``reduce`` and ``root``.
+
+        ``reduce`` combines in place along a step list, passes a bypassed
+        value (None) up exactly and lifts each product back to
+        ``node_frac``; calling ``root`` per combine would cost single calls
+        about 0.2 us per leaf.  ``root(p)`` rounds the product of the root's
+        children to f.  A bypassed root child enters it as
+        ``1 << node_frac``, whose product rounds the other child to the
+        multiplier precision exactly as a separate rescale would.
+        """
         lift = self.node_frac - self.mf
         shift = self.node_frac + lift
         bias, odd = _half_even(shift, self.tree_ne)
@@ -379,42 +394,98 @@ class _Plan:
                     vals[i] = (p if p < clamp else clamp) << lift
             return vals[0]
 
-        return reduce
+        def root(p: int) -> int:
+            p = (p + bias + (p >> shift & odd)) >> shift
+            return p if p < clamp else clamp
 
-    def sweep_kernel(self):
-        """A kernel equal to ``kernel`` that reads subtree tables instead of leaves.
+        return reduce, root
 
-        Each table stands for the bottom levels of the tree over 8 address
-        bits: a pair of 4-bit LUTs, a quad of 2-bit LUTs, or 8 registers.
-        Its entries come from the tree's own combine over every address.
-        The leaves' concatenated address layout is also the tables' layout,
-        so one gathered value addresses both.
+    def _tabulate(self, parts) -> tuple[list, int, int]:
+        """``(table, offset, mask)`` of the subtree over ``parts``, valued at every address."""
+        if len(parts) == 1:
+            return parts[0]
+        base = parts[0][1]
+        width = sum(mask.bit_length() for _, _, mask in parts)
+        steps = _tree_steps(len(parts))
+        table = [
+            self.reduce([t[a >> (o - base) & mask] for t, o, mask in parts], steps)
+            for a in range(1 << width)
+        ]
+        return table, base, (1 << width) - 1
+
+    def _kernel(self, gather):
+        """m -> output magnitude code: the tree to the root's children, the root, then the final stage."""
+        leaves, reduce, root, unit = self.leaves, self.reduce, self.root, 1 << self.node_frac
+        final, correct, low_mask = self.final, self.correct, self.low_mask
+        steps = _tree_steps(len(leaves))
+        split = steps[-1][1] if steps else 0        # the right child's leaf; 0 for a lone leaf
+        steps = steps[:-1]
+
+        def kernel(m: int, rec: list[int] | None = None) -> int:
+            g = gather(m)
+            vals = [t[g >> o & mask] for t, o, mask in leaves]
+            reduce(vals, steps)
+            a, b = vals[0], vals[split] if split else None
+            if a is None and b is None:
+                return 0                        # every LUT bypassed: the exact 1.0
+            if rec is not None:
+                rec.append(g)
+            y = final(root((unit if a is None else a) * (unit if b is None else b)), rec)
+            if correct is None:
+                return y
+            r = m & low_mask
+            if rec is not None:
+                rec += y, r
+            return correct(y, (r,))[0]
+
+        return kernel
+
+    def sweep(self, live: int) -> array:
+        """``kernel`` of every magnitude below ``live``, in subtree-table order.
+
+        Subtree tables of at most 256 entries stand for the bottom levels of
+        the tree: a pair of 4-bit LUTs, a quad of 2-bit LUTs or 8 registers.
+        They give the root's two children at every address, and the root
+        fills f for every gathered address, one row per right-child value.
+        Magnitudes then run in order, and ``final`` runs only where f
+        differs from the previous magnitude's.
         """
         per = 8 // max(mask.bit_length() for _, _, mask in self.leaves)
-        nodes = []
-        for c in range(0, len(self.leaves), per):
-            chunk = self.leaves[c:c + per]
-            base = chunk[0][1]
-            width = sum(mask.bit_length() for _, _, mask in chunk)
-            steps = _tree_steps(len(chunk))
-            table = [
-                self.reduce([t[a >> (o - base) & mask] for t, o, mask in chunk], steps)
-                for a in range(1 << width)
-            ]
-            nodes.append((table, base, (1 << width) - 1))
-        return self._kernel(tuple(nodes), _gather(self.order, by_bytes=True))
-
-    def _kernel(self, leaves, gather):
+        nodes = [self._tabulate(self.leaves[c:c + per]) for c in range(0, len(self.leaves), per)]
+        steps = _tree_steps(len(nodes))
+        if steps:
+            split = steps[-1][1]
+            left, right = self._tabulate(nodes[:split])[0], self._tabulate(nodes[split:])[0]
+        else:
+            left, right = nodes[0][0], [None]
+        unit, root = 1 << self.node_frac, self.root
+        left = [unit if a is None else a for a in left]
+        fs = array("q") if self.out_frac + 2 + self.mf < 64 else []     # f < 2**(out_frac + 2 + mf)
+        for b in right:
+            fs.extend(map(root, map((unit if b is None else b).__mul__, left)))
+        final = self.final
+        prev = None
         if self.cfg.variant is Variant.PUBLISHED:
-            return self._published_kernel(leaves, gather)
-        return self._optimized_kernel(leaves, gather)
+            # the registers hold the high bits of m, the residual its low bits
+            residuals = range(1 << self.order[0])
+            codes = array("q")
+            for f in islice(fs, -(-live // len(residuals))):
+                if f != prev:
+                    prev, row = f, self.correct(final(f), residuals)
+                codes.extend(row)
+            del codes[live:]
+            return codes
+        codes = array("q", [0])                 # m = 0 bypasses every LUT
+        append = codes.append
+        for f in map(fs.__getitem__, islice(_gathered_addresses(self.order), 1, live)):
+            if f != prev:
+                prev, code = f, final(f)
+            append(code)
+        return codes
 
-    def _optimized_kernel(self, leaves, gather):
-        reduce, steps = self.reduce, _tree_steps(len(leaves))
+    def _optimized(self):
         mf, mf_mask, x_max = self.mf, self.mf_mask, self.x_max
         one, two = 1 << mf, 2 << mf
-        top = self.node_frac - mf
-        top_bias, top_odd = _half_even(top, self.tree_ne)
         sub_ones, stages, rounds = self.sub_ones, self.stages, range(self.stages)
         c0, c1, d_frac = self.c0_code, self.c1_code, mf + 1
         out_max, out_ne, scale = self.out_max, self.out_ne, 1 << self.out_frac
@@ -422,18 +493,11 @@ class _Plan:
         up, out_shift = max(0, -out_shift), max(0, out_shift)
         out_bias, out_odd = _half_even(out_shift, out_ne)
 
-        def kernel(m: int, rec: list[int] | None = None) -> int:
-            g = gather(m)
-            v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
-            if v is None:
-                return 0
-            f = (v + top_bias + (v >> top & top_odd)) >> top
-            if f > mf_mask:
-                f = mf_mask
+        def final(f: int, rec: list[int] | None = None) -> int:
             n = f ^ mf_mask if sub_ones else one - f if f else mf_mask
             d = one + f                         # (1 + f)/2 exactly, frac mf+1
             if rec is not None:
-                rec += g, f, n, d
+                rec += f, n, d
             if not stages:
                 # reference row: real-valued division, one rounding at the output
                 t = (one - f) / d * scale
@@ -454,17 +518,14 @@ class _Plan:
             code = (p + out_bias + (p >> out_shift & out_odd)) >> out_shift
             return code if code < out_max else out_max
 
-        return kernel
+        return final
 
-    def _published_kernel(self, leaves, gather):
-        reduce, steps = self.reduce, _tree_steps(len(leaves))
-        mf, mf_mask, x_max, wide_max = self.mf, self.mf_mask, self.x_max, self.wide_max
+    def _published(self):
+        mf, mf_mask, x_max = self.mf, self.mf_mask, self.x_max
         one, two = 1 << mf, 2 << mf
-        top = self.node_frac - mf
-        top_bias, top_odd = _half_even(top, self.tree_ne)
         stages, rounds = self.stages, range(self.stages)
         c0, c1 = self.c0_code, self.c1_code
-        low_mask, in_frac = self.low_mask, self.in_frac
+        in_frac = self.in_frac
         sq_bias, sq_odd = _half_even(mf, self.tree_ne)
         corr_bias, corr_odd = _half_even(in_frac, self.tree_ne)
         out_max = self.out_max
@@ -472,46 +533,41 @@ class _Plan:
         up, out_shift = max(0, -out_shift), max(0, out_shift)
         out_bias, out_odd = _half_even(out_shift, self.out_ne)
 
-        def kernel(m: int, rec: list[int] | None = None) -> int:
-            g = gather(m)
-            v = reduce([t[g >> o & mask] for t, o, mask in leaves], steps)
-            f = (v + top_bias + (v >> top & top_odd)) >> top
-            if f > wide_max:
-                f = wide_max
+        def final(f: int, rec: list[int] | None = None) -> int:
             if rec is not None:
-                rec += g, f
+                rec.append(f)
             n = f - one
             if n <= 0:
-                t = 0
-            elif not stages:
-                t = min(math.floor(n / (f + one) * one), mf_mask)
-            else:
-                d = f + one
-                d_frac = d.bit_length()         # normalize into [0.5, 1)
-                x = c0 - (c1 * d >> d_frac)
+                return 0
+            if not stages:
+                return min(math.floor(n / (f + one) * one), mf_mask)
+            d = f + one
+            d_frac = d.bit_length()             # normalize into [0.5, 1)
+            x = c0 - (c1 * d >> d_frac)
+            if x > x_max:
+                x = x_max
+            if rec is not None:
+                rec.append(x)
+            for _ in rounds:
+                x = x * (two - (d * x >> d_frac)) >> mf
                 if x > x_max:
                     x = x_max
                 if rec is not None:
                     rec.append(x)
-                for _ in rounds:
-                    x = x * (two - (d * x >> d_frac)) >> mf
-                    if x > x_max:
-                        x = x_max
-                    if rec is not None:
-                        rec.append(x)
-                t = min(n * x >> d_frac, mf_mask)
-            r = m & low_mask
-            if rec is not None:
-                rec += t, r
-            sq = t * t
-            sq = (sq + sq_bias + (sq >> mf & sq_odd)) >> mf
-            c = r * (one - sq)
-            s = t + ((c + corr_bias + (c >> in_frac & corr_odd)) >> in_frac)
-            s = (s if s < mf_mask else mf_mask) << up
-            code = (s + out_bias + (s >> out_shift & out_odd)) >> out_shift
-            return code if code < out_max else out_max
+            return min(n * x >> d_frac, mf_mask)
 
-        return kernel
+        def correct(t: int, residuals) -> list[int]:
+            """Output codes of ``t + r*(1 - t^2)`` for each residual r."""
+            sq = t * t
+            k = one - ((sq + sq_bias + (sq >> mf & sq_odd)) >> mf)
+            return [
+                y if (y := (s + out_bias + (s >> out_shift & out_odd)) >> out_shift) < out_max else out_max
+                for c in map(k.__mul__, residuals)
+                for s in [t + ((c + corr_bias + (c >> in_frac & corr_odd)) >> in_frac)]
+                for s in [(s if s < mf_mask else mf_mask) << up]
+            ]
+
+        return final, correct
 
     def fill_trace(self, trace: TanhTrace, rec: list[int]) -> None:
         """Set the stage fields of ``trace`` from the codes a kernel call put in ``rec``.
@@ -599,13 +655,13 @@ def magnitude_outputs(cfg: TanhConfig) -> array:
     """The output magnitude code of every input magnitude code, 0 to the largest.
 
     These are the codes ``tanh_fx`` returns before it restores the sign.
-    The plan's kernel runs once per magnitude below the saturation code,
-    through subtree tables built for this call; every magnitude at or above
-    it maps to the output maximum.
+    The plan sweeps every magnitude below the saturation code (see
+    ``_Plan.sweep``); every magnitude at or above it maps to the output
+    maximum.
     """
     plan = _prepare(cfg, None)
     count = plan.mag_max + 1
     live = count if plan.sat_code is None else min(plan.sat_code, count)
-    codes = array("q", map(plan.sweep_kernel(), range(live)))
+    codes = plan.sweep(live)
     codes.extend(repeat(plan.out_max, count - live))
     return codes

@@ -52,6 +52,14 @@ class TestClampThreshold:
             clamp_threshold(0)
 
 
+class TestOracle:
+    @pytest.mark.parametrize("frac", [12, 13])
+    def test_tanh_is_exactly_odd_on_the_input_grid(self, frac):
+        # the error reduction gives a negative code its magnitude's error
+        fmt = QFormat(True, 3, frac)
+        assert all(math.tanh(c * fmt.ulp) == -math.tanh(-c * fmt.ulp) for c in range(fmt.code_min, 0))
+
+
 class TestExhaustiveSweep:
     def test_report_fields(self):
         rep = exhaustive_sweep(SMALL)
@@ -66,14 +74,19 @@ class TestExhaustiveSweep:
 
     def test_report_is_a_reduction_of_single_calls(self):
         # every subtree-table depth (group 4, 2, 1 and published registers),
-        # and one input wide enough for two 4096-code error blocks
+        # and inputs wide enough for two and four 4096-code error blocks: one
+        # mirrored pair of blocks, and two
         roomy = replace(SMALL, lut_fmt=QFormat(False, 0, 18), mult_fmt=QFormat(False, 0, 16))
         configs = [
             replace(roomy, grouping=GroupingScheme(group, True), variant=variant)
             for group in (1, 2, 4)
             for variant in Variant
         ]
-        configs += [replace(roomy, input_fmt=QFormat(True, 3, 9), variant=variant) for variant in Variant]
+        configs += [
+            replace(roomy, input_fmt=QFormat(True, 3, frac), variant=variant)
+            for frac in (9, 10)
+            for variant in Variant
+        ]
         for cfg in configs:
             fmt = cfg.input_fmt
             codes = range(fmt.code_min, fmt.code_max + 1)
@@ -137,7 +150,7 @@ class TestCompareMethods:
         # ones at code_max); the PWL tables have empty segments (spacing below
         # the input ulp), knots on input codes (0.25), knots between them
         # (0.1), and a last knot inside (all but one) or beyond the input range
-        for cfg in (self.CMP, replace(self.CMP, input_fmt=QFormat(True, 3, 9))):
+        for cfg in [self.CMP] + [replace(self.CMP, input_fmt=QFormat(True, 3, frac)) for frac in (9, 10)]:
             in_fmt, out_fmt = cfg.input_fmt, cfg.output_fmt
             clamp = clamp_threshold(out_fmt.frac_bits)
             tables = [uniform_pwl_table(0.001, clamp), uniform_pwl_table(0.25, clamp),

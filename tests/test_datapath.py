@@ -9,6 +9,8 @@ import math
 import random
 import re
 from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from fxtanh.datapath import (
     TanhConfig,
     TanhTrace,
     Variant,
+    _half_even,
+    _prepare,
     build_luts_for,
     magnitude_outputs,
     reference_config,
@@ -57,6 +61,29 @@ def _real_nr(d: float, stages: int, seed: NrSeed = NrSeed()) -> float:
     for _ in range(stages):
         x = x * (2.0 - d * x)
     return x
+
+
+class TestRoundingIdiom:
+    """``_half_even``'s ``(v + bias + (v >> s & odd)) >> s``, the rounding every kernel part inlines."""
+
+    @pytest.mark.parametrize("nearest", [True, False])
+    def test_matches_exact_rounding(self, nearest):
+        rng = random.Random(nearest)
+        for s in range(41):
+            bias, odd = _half_even(s, nearest)
+            half = 1 << s >> 1
+            values = [rng.randrange(1 << 100) for _ in range(50)]
+            # ties and their neighbours, above quotients from 0 to 100 - s bits wide
+            values += [
+                (k << s) + t
+                for k in (0, 1, 2, 3, (1 << (100 - s)) - 1)
+                for t in (0, half - 1, half, half + 1, (1 << s) - 1)
+                if 0 <= t < 1 << s
+            ]
+            for v in values + [-v for v in values]:
+                exact = Fraction(v, 1 << s)
+                want = round(exact) if nearest else math.floor(exact)
+                assert (v + bias + (v >> s & odd)) >> s == want, (v, s)
 
 
 class TestNrSeed:
@@ -473,3 +500,63 @@ class TestRandomConfigs:
         assert ys[0] == 0
         assert all(ys[-c] == -ys[c] for c in range(1, fmt.code_max + 1))
 
+
+
+def _wide_configs() -> list[TanhConfig]:
+    """Seeded 12- to 20-bit configurations, one per variant and group width."""
+    configs = []
+    for n, (variant, group) in enumerate(product(Variant, (1, 2, 4))):
+        rng = random.Random(n)
+        int_bits = rng.randint(0, 3)
+        width = (12, 15, 18, 20, 16, 17)[n]
+        configs.append(_small(
+            int_bits, width - 1 - int_bits, rng.randint(8, 18), rng.randint(16, 24), rng.randint(10, 20),
+            grouping=GroupingScheme(group, rng.random() < 0.5),
+            nr_stages=rng.randint(0, 3),
+            subtractor=rng.choice(list(Subtractor)),
+            variant=variant,
+            # the 20-bit published config gets at least 17 registers
+            published_threshold=2.0 ** -(17 if width == 20 else rng.randint(1, 10)),
+            internal_round=rng.choice(list(RoundMode)),
+            output_round=rng.choice(list(RoundMode)),
+        ))
+    return configs
+
+
+class TestWideConfigs:
+    """Sampled codes of wide inputs: the sweep's three-node root split needs over 16 magnitude bits."""
+
+    @pytest.mark.parametrize("cfg", _wide_configs(), ids=lambda cfg: cfg.describe())
+    def test_entry_points_agree_and_invariants_hold(self, cfg):
+        fmt, out_max = cfg.input_fmt, cfg.output_fmt.code_max
+        mags = magnitude_outputs(cfg)
+        assert len(mags) == fmt.code_max + 1 and mags[0] == 0
+        clamp = math.atanh(1.0 - cfg.output_fmt.ulp)
+        edge = math.floor(clamp / fmt.ulp)
+        codes = random.Random(fmt.width).sample(range(fmt.code_min, fmt.code_max + 1), 300)
+        codes += [fmt.code_min, fmt.code_max, 0, 1, -1]
+        codes += [c for c in (edge - 1, edge, edge + 1) if c <= fmt.code_max]
+        for c in codes:
+            trace = TanhTrace()
+            y = tanh_fx(Fx(c, fmt), cfg, None, trace)
+            assert y == trace.output == tanh_fx(Fx(c, fmt), cfg)
+            m = min(abs(c), fmt.code_max)
+            assert y.code == (-mags[m] if c < 0 else mags[m])
+            assert abs(y.code) <= out_max
+            if m * fmt.ulp >= clamp:
+                assert abs(y.code) == out_max
+            if c > fmt.code_min:
+                assert tanh_fx(Fx(-c, fmt), cfg).code == -y.code
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_tree_values_wider_than_64_bits(self, variant):
+        cfg = _small(3, 5, 15, 48, 64, variant=variant)
+        mags = magnitude_outputs(cfg)
+        assert list(mags) == [tanh_fx(Fx(m, cfg.input_fmt), cfg).code for m in range(cfg.input_fmt.code_max + 1)]
+
+    def test_each_variant_has_a_tree_over_more_than_16_bits(self):
+        for variant in Variant:
+            assert any(
+                sum(mask.bit_length() for _, _, mask in _prepare(cfg, None).leaves) > 16
+                for cfg in _wide_configs() if cfg.variant is variant
+            )
