@@ -13,13 +13,14 @@ configuration, not statistics.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 
 from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
-from .datapath import Subtractor, TanhConfig, Variant, magnitude_outputs
-from .fxnum import Fx
+from .datapath import Subtractor, TanhConfig, Variant, _check_output_bits, _sweep_family
+from .fxnum import Fx, QFormat
 
 _MAX_SWEEP_WIDTH = 24
 
@@ -33,6 +34,7 @@ def clamp_threshold(b: int) -> float:
     """
     if b < 1:
         raise ValueError("need at least one fractional output bit")
+    _check_output_bits(b)
     return math.atanh(1.0 - 2.0 ** -b)
 
 
@@ -60,59 +62,95 @@ class Table2Row:
 _BLOCK = 1 << 12
 
 
-def _reduce_errors(cfg: TanhConfig, magnitudes: Callable[[int, int], Sequence[int]]) -> tuple[float, int, float]:
-    """Max error versus real tanh over every input code, its code, and the exact error sum.
+_Row = Callable[[int, int, list[float]], tuple[list[float], list[float]]]
 
-    The method is odd: ``magnitudes(m0, m1)`` gives its rounded output codes
-    at magnitude codes m0..m1-1, negative inputs read them negated, and all
-    saturate as ``quantize`` does (negative ones at ``-code_max - 1``).
+
+def _reduce_errors(cfg: TanhConfig, rows: list[_Row]) -> list[tuple[float, int, float]]:
+    """Per row: max error versus real tanh over every input code, its code, and the exact error sum.
+
     Blocks of ``_BLOCK`` input codes pair up as mirror images: negative
     codes -m1..-m0-1 and positive codes m0..m1-1 read one range of
-    magnitudes, m0..m1, with one ``math.tanh`` call each.  ``math.tanh`` is
-    exactly odd, so the negative side has the positive side's errors unless
-    some |y| exceeds ``code_max`` and the sides saturate apart.  Errors are
-    summed exactly per block and the block sums exactly again; ties for the
+    magnitudes, m0..m1.  The pair computes ``math.tanh`` once per magnitude,
+    in output ulps, into ``ts``, and ``row(m0, m1, ts)`` gives a row's
+    absolute errors in output ulps over those magnitudes, for positive
+    inputs and for negative ones.  Each row is an odd method and
+    ``math.tanh`` is exactly odd, so both are one list unless the row
+    saturates its two sides apart.  A power of two scales exactly, so the
+    errors are the ones measured in real units, scaled.  Errors are summed
+    exactly per block and the block sums exactly again; ties for the
     maximum keep the lowest input code.
     """
     half = cfg.input_fmt.code_max + 1
-    y_min, y_max = cfg.output_fmt.code_min, cfg.output_fmt.code_max
-    in_ulp, out_ulp = cfg.input_fmt.ulp, cfg.output_fmt.ulp
-    tanh = math.tanh
+    in_ulp, out_ulp, scale = cfg.input_fmt.ulp, cfg.output_fmt.ulp, 2.0 ** cfg.output_fmt.frac_bits
+    tanh, fsum = math.tanh, math.fsum
     step = min(_BLOCK, half)            # below _BLOCK, one block holds both sides
-    max_err, worst, totals = -1.0, 0, []
+    max_errs, worsts, totals = [-1.0] * len(rows), [0] * len(rows), [[] for _ in rows]
     for m0 in range(0, half, step):
-        ms = range(m0, m0 + step + 1)
-        ys = magnitudes(m0, ms.stop)
-        if max(ys) > y_max or min(ys) < -y_max:     # only baselines leave the output range
-            ts = [tanh(m * in_ulp) for m in ms]
-            pos = [abs(min(max(y, y_min), y_max) * out_ulp - t) for y, t in zip(ys, ts)]
-            neg = [abs(min(max(-y, y_min), y_max) * out_ulp + t) for y, t in zip(ys, ts)]
-        else:
-            pos = neg = [abs(y * out_ulp - tanh(m * in_ulp)) for y, m in zip(ys, ms)]
-        pos, neg = pos[:-1], neg[:0:-1]         # codes m0..m1-1, and -m1..-m0-1
-        for errs, first in ((neg, -m0 - step), (pos, m0)):
-            block_max = max(errs)
-            code = first + errs.index(block_max)
-            if block_max > max_err or (block_max == max_err and code < worst):
-                max_err, worst = block_max, code
-        totals += (math.fsum(neg), math.fsum(pos)) if step == _BLOCK else (math.fsum(neg + pos),)
-    return max_err, worst, math.fsum(totals)
+        m1 = m0 + step + 1
+        ts = [tanh(m * in_ulp) * scale for m in range(m0, m1)]
+        for i, row in enumerate(rows):
+            pos, neg = row(m0, m1, ts)
+            pos, neg = pos[:-1], neg[:0:-1]         # codes m0..m1-1, and -m1..-m0-1
+            for errs, first in ((neg, -m0 - step), (pos, m0)):
+                block_max = max(errs)
+                code = first + errs.index(block_max)
+                if block_max > max_errs[i] or (block_max == max_errs[i] and code < worsts[i]):
+                    max_errs[i], worsts[i] = block_max, code
+            totals[i] += (fsum(neg), fsum(pos)) if step == _BLOCK else (fsum(neg + pos),)
+            del pos, neg, errs                      # before the next row's errors
+    return [(e * out_ulp, w, fsum(t) * out_ulp) for e, w, t in zip(max_errs, worsts, totals)]
+
+
+def _sweep_rows(cfgs: list[TanhConfig]) -> list[_Row]:
+    """``_reduce_errors`` rows of configurations that differ only past f, from one sweep.
+
+    Each magnitude's output code is read through the sweep's slot of it.
+    The magnitudes past the slots, among them the most negative input
+    code's, which clamps to the largest, read the table's last code.
+    """
+    width = cfgs[0].input_fmt.width
+    if width > _MAX_SWEEP_WIDTH:
+        raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
+    slots, tables = _sweep_family(cfgs)
+
+    def row(table: array, m0: int, m1: int, ts: list[float]) -> tuple[list[float], list[float]]:
+        k = max(m0, min(len(slots), m1))
+        errs = [abs(table[s] - t) for s, t in zip(slots[m0:k], ts)]
+        last = table[-1]
+        errs += [abs(last - t) for t in ts[k - m0:]]
+        return errs, errs
+
+    return [partial(row, table) for table in tables]
+
+
+def _baseline_row(
+    out_fmt: QFormat, magnitudes: Callable[[int, int], list[int]], m0: int, m1: int, ts: list[float]
+) -> tuple[list[float], list[float]]:
+    """The row of a baseline whose rounded output codes at magnitudes m0..m1-1 are ``magnitudes(m0, m1)``.
+
+    Outputs saturate as ``quantize`` does, negative ones at ``-code_max - 1``,
+    so only a block whose |y| exceeds ``code_max`` has two sides that differ.
+    """
+    ys = magnitudes(m0, m1)
+    y_min, y_max = out_fmt.code_min, out_fmt.code_max
+    if max(ys) <= y_max and min(ys) >= -y_max:
+        errs = [abs(y - t) for y, t in zip(ys, ts)]
+        return errs, errs
+    return (
+        [abs(min(max(y, y_min), y_max) - t) for y, t in zip(ys, ts)],
+        [abs(min(max(-y, y_min), y_max) + t) for y, t in zip(ys, ts)],
+    )
 
 
 def exhaustive_sweep(cfg: TanhConfig) -> ErrorReport:
     """Sweep every input code and report max/mean error versus real tanh.
 
-    Each magnitude is evaluated once (see ``magnitude_outputs``) and every
-    input code, negative ones included, reads its output from there, as
-    ``tanh_fx`` would compute it; ``_reduce_errors`` does the rest.
+    Each magnitude is evaluated once, by a sweep of ``cfg`` alone, and
+    every input code, negative ones included, reads its output from there,
+    as ``tanh_fx`` would compute it; ``_reduce_errors`` does the rest.
     """
-    width = cfg.input_fmt.width
-    if width > _MAX_SWEEP_WIDTH:
-        raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
-    mags = magnitude_outputs(cfg)
-    mags.append(mags[-1])               # the most negative code clamps to the largest magnitude
-    max_err, worst, total = _reduce_errors(cfg, lambda m0, m1: mags[m0:m1])
-    samples = 1 << width
+    ((max_err, worst, total),) = _reduce_errors(cfg, _sweep_rows([cfg]))
+    samples = 1 << cfg.input_fmt.width
     return ErrorReport(
         config=cfg.describe(),
         max_abs_error=max_err,
@@ -128,15 +166,16 @@ def table2(cfg_base: TanhConfig) -> list[Table2Row]:
 
     Zero stages stands for the reference divider (real-valued division,
     quantized once at the output); the subtractor plays no part there, so
-    the two zero-stage rows agree.
+    the two zero-stage rows agree and share one configuration.  The five
+    configurations differ only past f, so they are one sweep: the tree part
+    and each block's ``math.tanh`` values are computed once, and only the
+    final stage and the error reduction run per configuration.  Each row's
+    error equals the ``exhaustive_sweep`` maximum of its cell.
     """
-    rows = []
-    for stages in (0, 2, 3):
-        for sub in (Subtractor.ONES, Subtractor.TWOS):
-            cfg = replace(cfg_base, nr_stages=stages, subtractor=sub)
-            report = exhaustive_sweep(cfg)
-            rows.append(Table2Row(stages, sub, report.max_abs_error))
-    return rows
+    cells = [(stages, sub) for stages in (0, 2, 3) for sub in (Subtractor.ONES, Subtractor.TWOS)]
+    family = [replace(cfg_base, nr_stages=stages, subtractor=sub) for stages, sub in cells[1:]]
+    errors = _reduce_errors(cfg_base, _sweep_rows(family))
+    return [Table2Row(stages, sub, e[0]) for (stages, sub), e in zip(cells, errors[:1] + errors)]
 
 
 @dataclass(frozen=True)
@@ -152,21 +191,20 @@ def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3) -> li
     All methods see the same quantized input grid and the same exact error
     reduction as ``exhaustive_sweep``.  The baselines run in real arithmetic
     and are quantized only at the output (nearest even, saturating), so
-    their rows show method error, not internal rounding error.
+    their rows show method error, not internal rounding error.  One
+    reduction serves all four rows, so each ``math.tanh`` value is computed
+    once.
     """
     _check_terms(taylor_terms)
-    rows = []
-    for name, variant in (("optimized", Variant.OPTIMIZED), ("published", Variant.PUBLISHED)):
-        rep = exhaustive_sweep(replace(cfg, variant=variant))
-        rows.append(MethodRow(name, rep.max_abs_error, rep.mean_abs_error))
+    rows = [_sweep_rows([replace(cfg, variant=variant)])[0] for variant in (Variant.OPTIMIZED, Variant.PUBLISHED)]
     ulp, scale = cfg.input_fmt.ulp, 1 << cfg.output_fmt.frac_bits
-    for name, magnitudes in (
-        ("pwl", partial(_pwl_range, pwl, ulp, scale)),
-        (f"taylor-{taylor_terms}", partial(_taylor_range, taylor_terms, ulp, scale)),
-    ):
-        max_err, _, total = _reduce_errors(cfg, magnitudes)
-        rows.append(MethodRow(name, max_err, total / (1 << cfg.input_fmt.width)))
-    return rows
+    rows += [
+        partial(_baseline_row, cfg.output_fmt, partial(_pwl_range, pwl, ulp, scale)),
+        partial(_baseline_row, cfg.output_fmt, partial(_taylor_range, taylor_terms, ulp, scale)),
+    ]
+    names = ("optimized", "published", "pwl", f"taylor-{taylor_terms}")
+    samples = 1 << cfg.input_fmt.width
+    return [MethodRow(name, e, total / samples) for name, (e, _, total) in zip(names, _reduce_errors(cfg, rows))]
 
 
 def _hex_code(v: Fx) -> str:

@@ -101,6 +101,11 @@ def taylor_tanh(x: float, terms: int) -> float:
     show.
     """
     _check_terms(terms)
+    return _taylor_sum(x, terms)
+
+
+def _taylor_sum(x: float, terms: int) -> float:
+    """``taylor_tanh`` for a term count already checked."""
     acc = 0.0
     xsq = x * x
     power = x
@@ -112,4 +117,4 @@ def taylor_tanh(x: float, terms: int) -> float:
 
 def _taylor_range(terms: int, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
     """``round(taylor_tanh(m * ulp, terms) * scale)`` for magnitude codes m0..m1-1."""
-    return [round(taylor_tanh(m * ulp, terms) * scale) for m in range(m0, m1)]
+    return [round(_taylor_sum(m * ulp, terms) * scale) for m in range(m0, m1)]

@@ -22,10 +22,15 @@ product tree up to the root's two children, the root's combine, which gives
 ``f``, and the final stage from ``f`` to the output (for the published
 variant, to ``t`` and then a correction per residual).  A single call
 composes the parts over the LUTs; a traced one also decodes its
-``TanhTrace`` from the raw codes the parts record.  A sweep tabulates the
-root's children from subtree tables, fills ``f`` for every gathered address
-a row at a time, then walks the magnitudes in order and runs the final
-stage only where ``f`` changes.
+``TanhTrace`` from the raw codes the parts record.
+
+A sweep is split at ``f``.  Its tree part tabulates the root's children
+from subtree tables, fills ``f`` for every gathered address a row at a
+time, then walks the magnitudes in order: it keeps one ``f`` per run of
+equal values and gives each magnitude a slot.  The tree part runs once for
+a family of configurations that differ only past ``f`` (stage count,
+subtractor, output rounding, seed).  Each configuration then runs its
+final stage once per run, into a small table that the slots index.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import islice, product
 
 from .fxnum import Fx, QFormat, RoundMode, quantize
 from .lutgen import GroupingScheme, VelocityLut, build_luts, shuffle_map, velocity_factor_original
@@ -78,6 +83,15 @@ class NrSeed:
 DEFAULT_NR_SEED = NrSeed()
 
 
+def _check_output_bits(b: int) -> None:
+    """Refuse b output fraction bits when 1 - 2**-b, the largest output, is no double below 1."""
+    if b > 53:
+        raise ValueError(
+            f"{b} output fraction bits leave no saturation threshold: "
+            f"1 - 2**-{b} rounds to 1.0 in a double (at most 53)"
+        )
+
+
 @dataclass(frozen=True)
 class TanhConfig:
     """Complete pipeline configuration.
@@ -107,6 +121,7 @@ class TanhConfig:
             raise ValueError(f"input format must be signed, got {self.input_fmt}")
         if not self.output_fmt.signed or not self.output_fmt.fractional_only:
             raise ValueError(f"output format must be signed fractional-only, got {self.output_fmt}")
+        _check_output_bits(self.output_fmt.frac_bits)
         for name, fmt in (("lut", self.lut_fmt), ("mult", self.mult_fmt)):
             if fmt.signed or not fmt.fractional_only:
                 raise ValueError(f"{name} format must be unsigned fractional-only, got {fmt}")
@@ -220,6 +235,14 @@ def _half_even(shift: int, nearest: bool) -> tuple[int, int]:
     return 0, 0
 
 
+_TYPECODES = tuple((1 << 8 * array(t).itemsize, t) for t in "BHILQ")
+
+
+def _typecode(top: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds 0..top."""
+    return next(t for limit, t in _TYPECODES if top < limit)
+
+
 def _tree_steps(n: int) -> tuple[tuple[int, int], ...]:
     """In-place merges ``(i, j)`` that reduce n values as the balanced tree does.
 
@@ -280,7 +303,7 @@ class _Plan:
     bypassed partner (None, the exact 1.0) stays exact until ``root`` rounds
     it to f.  ``final`` maps f to the output magnitude code, or for the
     published variant to ``t``, which ``correct`` folds with each residual.
-    ``sweep`` runs the same parts over every magnitude below a bound.
+    ``walk`` and ``table`` run the same parts over every magnitude code.
 
     Given a list as its last argument, ``kernel`` and ``final`` also append
     the raw codes a trace shows (see ``fill_trace``).
@@ -290,8 +313,8 @@ class _Plan:
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
         "tables", "c0_code", "c1_code", "x_max",
-        "reg_fmt", "reg_codes", "low_mask", "wide_max", "in_frac",
-        "node_frac", "leaves", "order", "reduce", "root", "final", "correct", "kernel",
+        "reg_fmt", "reg_codes", "low_mask", "wide_max", "in_frac", "live",
+        "node_frac", "f_max", "leaves", "order", "reduce", "root", "final", "correct", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
@@ -307,6 +330,8 @@ class _Plan:
             self.sat_code = max(1, math.floor(threshold * (1 << self.in_frac)))
         else:
             self.sat_code = None
+        # a sweep evaluates the magnitudes below live; the rest saturate
+        self.live = self.mag_max + 1 if self.sat_code is None else min(self.sat_code, self.mag_max + 1)
         mf = cfg.mult_fmt.frac_bits
         self.mf = mf
         self.mf_mask = (1 << mf) - 1
@@ -335,7 +360,7 @@ class _Plan:
             self.node_frac = max(cfg.lut_fmt.frac_bits, mf)
             lift = self.node_frac - cfg.lut_fmt.frac_bits
             leaf_tables = [(None,) + tuple(c << lift for c in table[1:]) for table in self.tables]
-            self.reduce, self.root = self._reducer(self.mf_mask)
+            self.f_max = self.mf_mask
         else:
             bits, self.reg_fmt, self.reg_codes = _published_registers(
                 cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold
@@ -350,7 +375,8 @@ class _Plan:
             lift = self.node_frac - self.reg_fmt.frac_bits
             leaf_tables = [(1 << self.node_frac, c << lift) for c in self.reg_codes]
             groups = tuple((b,) for b in bits)
-            self.reduce, self.root = self._reducer(self.wide_max)
+            self.f_max = self.wide_max
+        self.reduce, self.root = self._reducer(self.f_max)
         self.order = [b for group in groups for b in group]
         offsets = [0]
         for group in groups:
@@ -440,15 +466,18 @@ class _Plan:
 
         return kernel
 
-    def sweep(self, live: int) -> array:
-        """``kernel`` of every magnitude below ``live``, in subtree-table order.
+    def walk(self) -> tuple[array | list, array | range]:
+        """The tree part of a sweep: ``(fs, slots)`` over the magnitudes below ``live``.
 
         Subtree tables of at most 256 entries stand for the bottom levels of
         the tree: a pair of 4-bit LUTs, a quad of 2-bit LUTs or 8 registers.
         They give the root's two children at every address, and the root
         fills f for every gathered address, one row per right-child value.
-        Magnitudes then run in order, and ``final`` runs only where f
-        differs from the previous magnitude's.
+        The walk then reads f of every magnitude below ``live`` in order and
+        keeps one f per run of equal values; the published variant keeps the
+        f of every register row.  ``slots[m]`` is magnitude m's entry in the
+        output table that ``table(fs)`` builds, for any configuration that
+        shares this one's tree.
         """
         per = 8 // max(mask.bit_length() for _, _, mask in self.leaves)
         nodes = [self._tabulate(self.leaves[c:c + per]) for c in range(0, len(self.leaves), per)]
@@ -460,27 +489,42 @@ class _Plan:
             left, right = nodes[0][0], [None]
         unit, root = 1 << self.node_frac, self.root
         left = [unit if a is None else a for a in left]
-        fs = array("q") if self.out_frac + 2 + self.mf < 64 else []     # f < 2**(out_frac + 2 + mf)
+        fs = array(_typecode(self.f_max)) if self.f_max < 1 << 64 else []
         for b in right:
             fs.extend(map(root, map((unit if b is None else b).__mul__, left)))
-        final = self.final
-        prev = None
-        if self.cfg.variant is Variant.PUBLISHED:
-            # the registers hold the high bits of m, the residual its low bits
-            residuals = range(1 << self.order[0])
-            codes = array("q")
-            for f in islice(fs, -(-live // len(residuals))):
-                if f != prev:
-                    prev, row = f, self.correct(final(f), residuals)
-                codes.extend(row)
-            del codes[live:]
-            return codes
-        codes = array("q", [0])                 # m = 0 bypasses every LUT
-        append = codes.append
-        for f in map(fs.__getitem__, islice(_gathered_addresses(self.order), 1, live)):
+        if self.correct is not None:
+            # the registers hold the high bits of m, the residual its low bits,
+            # and the table holds the outputs of every register row in order
+            return fs[:-(-self.live // (1 << self.order[0]))], range(1, self.live + 1)
+        runs, prev, k = fs[:0], None, 0
+        slots = array(_typecode(self.live), [0])    # m = 0 bypasses every LUT
+        add_run, add_slot = runs.append, slots.append
+        for f in map(fs.__getitem__, islice(_gathered_addresses(self.order), 1, self.live)):
             if f != prev:
-                prev, code = f, final(f)
-            append(code)
+                prev, k = f, k + 1
+                add_run(f)
+            add_slot(k)
+        return runs, slots
+
+    def table(self, fs: array | list) -> array:
+        """Output magnitude codes at the slots of ``walk``: 0, then those of ``fs``.
+
+        ``final`` runs once per run of equal f; the published ``final`` and
+        ``correct`` run once per run of register rows with equal f.  When
+        the largest magnitude saturates, the saturated code ends the table.
+        """
+        codes = array(_typecode(self.out_max), [0])
+        if self.correct is None:
+            codes.extend(map(self.final, fs))
+        else:
+            residuals, prev = range(1 << self.order[0]), None
+            for f in fs:
+                if f != prev:
+                    prev, row = f, self.correct(self.final(f), residuals)
+                codes.extend(row)
+            del codes[self.live + 1:]
+        if self.live <= self.mag_max:
+            codes.append(self.out_max)
         return codes
 
     def _optimized(self):
@@ -651,17 +695,31 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
     return y
 
 
+def _sweep_family(cfgs: list[TanhConfig]) -> tuple[array | range, list[array]]:
+    """One exhaustive sweep of configurations that differ only past f.
+
+    They may differ in stage count, subtractor, output rounding and seed.
+    The tree part (see ``_Plan.walk``) runs once, for the first
+    configuration; each configuration's final stage runs once per run of
+    equal f.  Returns ``(slots, tables)``: ``tables[i][slots[m]]`` is the
+    output magnitude code of magnitude code m under ``cfgs[i]``, and every
+    magnitude from ``len(slots)`` to the largest reads ``tables[i][-1]``.
+    """
+    plan = _prepare(cfgs[0], None)
+    past_f = dict(nr_stages=0, subtractor=Subtractor.TWOS, output_round=RoundMode.NEAREST_EVEN, nr_seed=DEFAULT_NR_SEED)
+    if any(replace(cfg, **past_f) != replace(plan.cfg, **past_f) for cfg in cfgs[1:]):
+        raise ValueError("the configurations of one sweep may differ only past f")
+    fs, slots = plan.walk()
+    return slots, [(plan if cfg is plan.cfg else _Plan(cfg, plan.luts)).table(fs) for cfg in cfgs]
+
+
 def magnitude_outputs(cfg: TanhConfig) -> array:
     """The output magnitude code of every input magnitude code, 0 to the largest.
 
-    These are the codes ``tanh_fx`` returns before it restores the sign.
-    The plan sweeps every magnitude below the saturation code (see
-    ``_Plan.sweep``); every magnitude at or above it maps to the output
-    maximum.
+    These are the codes ``tanh_fx`` returns before it restores the sign,
+    read from a sweep of ``cfg`` alone (see ``_sweep_family``).
     """
-    plan = _prepare(cfg, None)
-    count = plan.mag_max + 1
-    live = count if plan.sat_code is None else min(plan.sat_code, count)
-    codes = plan.sweep(live)
-    codes.extend(repeat(plan.out_max, count - live))
+    slots, (table,) = _sweep_family([cfg])
+    codes = array("q", map(table.__getitem__, slots))
+    codes += array("q", table[-1:]) * (cfg.input_fmt.code_max + 1 - len(slots))
     return codes

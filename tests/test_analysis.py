@@ -51,6 +51,11 @@ class TestClampThreshold:
         with pytest.raises(ValueError):
             clamp_threshold(0)
 
+    @pytest.mark.parametrize("b", [54, 64])
+    def test_rejects_fractions_with_no_double_below_one(self, b):
+        with pytest.raises(ValueError, match=rf"1 - 2\*\*-{b} rounds to 1.0 in a double"):
+            clamp_threshold(b)
+
 
 class TestOracle:
     @pytest.mark.parametrize("frac", [12, 13])
@@ -113,6 +118,27 @@ class TestExhaustiveSweep:
         assert better.max_error_ulps <= base.max_error_ulps + 1
 
 
+def _table2_families() -> list[TanhConfig]:
+    """Both variants, groups 1/2/4, truncating internal and output rounding,
+    a register at bit 0, and a 17-bit magnitude whose tree spans more than
+    16 address bits and whose f changes often enough to need 4-byte slots.
+    Each has cells of different errors, so a row read from the wrong cell
+    shows."""
+    base = TanhConfig(QFormat(True, 2, 8), QFormat(True, 0, 12), QFormat(False, 0, 18), QFormat(False, 0, 14))
+    configs = [
+        replace(base, grouping=GroupingScheme(group, shuffle), variant=variant)
+        for group, shuffle in ((1, False), (2, True), (4, True))
+        for variant in Variant
+    ]
+    configs += [
+        replace(base, internal_round=RoundMode.TRUNCATE, output_round=RoundMode.TRUNCATE, variant=variant)
+        for variant in Variant
+    ]
+    configs.append(replace(base, variant=Variant.PUBLISHED, published_threshold=2.0 ** -8))
+    configs.append(TanhConfig(QFormat(True, 1, 16), QFormat(True, 0, 18), QFormat(False, 0, 20), QFormat(False, 0, 17)))
+    return configs
+
+
 class TestTable2:
     def test_grid_structure(self):
         rows = table2(SMALL)
@@ -128,6 +154,17 @@ class TestTable2:
     def test_reference_rows_ignore_the_subtractor(self):
         rows = table2(SMALL)
         assert rows[0].max_error == rows[1].max_error
+
+    @pytest.mark.parametrize("cfg", _table2_families(), ids=lambda cfg: cfg.describe())
+    def test_rows_equal_sweeps_of_each_cell(self, cfg):
+        rows = table2(cfg)
+        for row in rows:
+            cell = exhaustive_sweep(replace(cfg, nr_stages=row.nr_stages, subtractor=row.subtractor))
+            assert row.max_error.hex() == cell.max_abs_error.hex()
+
+    def test_one_sweep_refuses_configurations_that_differ_before_f(self):
+        with pytest.raises(ValueError, match="differ only past f"):
+            analysis._sweep_family([SMALL, replace(SMALL, mult_fmt=QFormat(False, 0, 9))])
 
 
 class TestCompareMethods:
@@ -180,7 +217,7 @@ class TestCompareMethods:
         def no_sweep(cfg):
             raise AssertionError("swept before checking the term count")
 
-        monkeypatch.setattr(analysis, "magnitude_outputs", no_sweep)
+        monkeypatch.setattr(analysis, "_sweep_family", no_sweep)
         with pytest.raises(ValueError, match=message):
             compare_methods(self.CMP, uniform_pwl_table(0.25, 2.8), terms)
 

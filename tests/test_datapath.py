@@ -118,6 +118,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             reference_config(lut_fmt=QFormat(True, 0, 18))
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_accepts_53_output_fraction_bits(self, variant):
+        # 1 - 2**-53 is the last double below 1, so s.53 still saturates
+        cfg = _small(3, 5, 53, 55, 54, variant=variant)
+        mags = magnitude_outputs(cfg)
+        assert list(mags) == [tanh_fx(Fx(m, cfg.input_fmt), cfg).code for m in range(cfg.input_fmt.code_max + 1)]
+
+    @pytest.mark.parametrize("bits", [54, 64])
+    def test_rejects_outputs_past_53_fraction_bits(self, bits):
+        with pytest.raises(ValueError, match=rf"1 - 2\*\*-{bits} rounds to 1.0 in a double"):
+            _small(3, 5, bits, bits + 2, bits + 1)
+
 
 class TestNrReciprocal:
     """The last iterate of a traced call against the reciprocal of its denominator."""
