@@ -24,13 +24,14 @@ variant, to ``t`` and then a correction per residual).  A single call
 composes the parts over the LUTs; a traced one also decodes its
 ``TanhTrace`` from the raw codes the parts record.
 
-A sweep is split at ``f``.  Its tree part tabulates the root's children
-from subtree tables, fills ``f`` for every gathered address a row at a
-time, then walks the magnitudes in order: it keeps one ``f`` per run of
-equal values and gives each magnitude a slot.  The tree part runs once for
-a family of configurations that differ only past ``f`` (stage count,
-subtractor, output rounding, seed).  Each configuration then runs its
-final stage once per run, into a small table that the slots index.
+A sweep is split at ``f``.  Its tree part values the root's children at
+every address, each level of the tree an outer product of its children's
+tables, fills ``f`` for every gathered address a row at a time, then walks
+the magnitudes in order: it keeps one ``f`` per run of equal values and
+gives each magnitude a slot.  The tree part runs once for a family of
+configurations that differ only past ``f`` (stage count, subtractor,
+output rounding, seed).  Each configuration then runs its final stage
+once per run, into a small table that the slots index.
 """
 
 from __future__ import annotations
@@ -182,15 +183,18 @@ class TanhTrace:
 @lru_cache(maxsize=None)
 def _published_registers(
     input_fmt: QFormat, lut_fmt: QFormat, threshold: float
-) -> tuple[tuple[int, ...], QFormat, tuple[int, ...]]:
-    """``(bits, fmt, codes)`` of the published variant's per-bit registers.
+) -> tuple[tuple[int, ...], QFormat, tuple[tuple[Fx, Fx], ...]] | str:
+    """``(bits, fmt, entries)`` of the published variant's per-bit registers,
+    or the reason they cannot be built.
 
     One register per magnitude bit whose weight reaches the threshold holds
     that bit's inverted-convention factor (>= 1).  Entries share one
     unsigned format whose total width equals the LUT entry width; the
     integer bits needed by the largest factor are carved out of that
     budget, which is precisely the scaling cost the fractional-only
-    redefinition removes.
+    redefinition removes.  Each register reads as a one-bit table: address
+    0 holds the exact 1.0, address 1 the factor.  A refusal is returned,
+    not raised, so that the cache keeps it too.
     """
     frac_in = input_fmt.frac_bits
     bits = tuple(
@@ -198,21 +202,22 @@ def _published_registers(
         if 2.0 ** (i - frac_in) >= threshold
     )
     if not bits:
-        raise ValueError("threshold leaves no register bits")
+        return "threshold leaves no register bits"
     max_factor = velocity_factor_original(2.0 ** (bits[-1] - frac_in))
     int_bits = max(1, math.floor(max_factor).bit_length())
     frac_bits = lut_fmt.width - int_bits
     if frac_bits < 1:
-        raise ValueError(
+        return (
             f"{lut_fmt.width}-bit entries cannot hold factors up to {max_factor:.1f}: "
             f"{int_bits} integer bits leave no fraction"
         )
     fmt = QFormat(False, int_bits, frac_bits)
-    codes = tuple(
-        quantize(velocity_factor_original(2.0 ** (i - frac_in)), fmt, RoundMode.NEAREST_EVEN).code
+    one = Fx(1 << frac_bits, fmt)
+    entries = tuple(
+        (one, quantize(velocity_factor_original(2.0 ** (i - frac_in)), fmt, RoundMode.NEAREST_EVEN))
         for i in bits
     )
-    return bits, fmt, codes
+    return bits, fmt, entries
 
 
 @lru_cache(maxsize=None)
@@ -243,11 +248,13 @@ def _typecode(top: int) -> str:
     return next(t for limit, t in _TYPECODES if top < limit)
 
 
+@lru_cache(maxsize=None)
 def _tree_steps(n: int) -> tuple[tuple[int, int], ...]:
     """In-place merges ``(i, j)`` that reduce n values as the balanced tree does.
 
     Level by level, value i absorbs value i + stride; an odd value at the
-    end of a level is carried up unchanged.
+    end of a level is carried up unchanged.  The last merge joins the root's
+    two children: the left one holds the largest power of two below n.
     """
     steps: list[tuple[int, int]] = []
     stride = 1
@@ -303,7 +310,8 @@ class _Plan:
     bypassed partner (None, the exact 1.0) stays exact until ``root`` rounds
     it to f.  ``final`` maps f to the output magnitude code, or for the
     published variant to ``t``, which ``correct`` folds with each residual.
-    ``walk`` and ``table`` run the same parts over every magnitude code.
+    ``walk`` and ``table`` run the same parts over every magnitude code;
+    ``entries[i][a]`` is the ``Fx`` a trace shows for leaf i at address a.
 
     Given a list as its last argument, ``kernel`` and ``final`` also append
     the raw codes a trace shows (see ``fill_trace``).
@@ -312,12 +320,15 @@ class _Plan:
     __slots__ = (
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
-        "tables", "c0_code", "c1_code", "x_max",
-        "reg_fmt", "reg_codes", "low_mask", "wide_max", "in_frac", "live",
-        "node_frac", "f_max", "leaves", "order", "reduce", "root", "final", "correct", "kernel",
+        "entries", "c0_code", "c1_code", "x_max", "low_mask", "wide_max", "in_frac", "live",
+        "node_frac", "f_max", "leaves", "order", "reduce", "outer", "root", "final", "correct", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
+        if cfg.variant is Variant.PUBLISHED:
+            registers = _published_registers(cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold)
+            if isinstance(registers, str):
+                raise ValueError(registers)
         self.cfg = cfg
         self.luts = luts
         self.mag_fmt = cfg.input_fmt.magnitude_format()
@@ -356,27 +367,24 @@ class _Plan:
                     raise ValueError(f"LUT bit indices {lut.bit_indices} do not match group {group}")
                 if lut.entry_fmt != cfg.lut_fmt:
                     raise ValueError(f"LUT entry format {lut.entry_fmt} does not match {cfg.lut_fmt}")
-            self.tables = tuple(tuple(e.code for e in lut.entries) for lut in luts)
-            self.node_frac = max(cfg.lut_fmt.frac_bits, mf)
-            lift = self.node_frac - cfg.lut_fmt.frac_bits
-            leaf_tables = [(None,) + tuple(c << lift for c in table[1:]) for table in self.tables]
+            self.entries = tuple((None, *lut.entries[1:]) for lut in luts)
+            entry_frac = cfg.lut_fmt.frac_bits
             self.f_max = self.mf_mask
         else:
-            bits, self.reg_fmt, self.reg_codes = _published_registers(
-                cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold
-            )
+            bits, reg_fmt, self.entries = registers
             self.low_mask = sum(
                 1 << i for i in range(self.mag_fmt.int_bits + self.in_frac)
                 if i not in bits
             )
             # wide accumulator: the clamped product tops out near 2**(b+1)
             self.wide_max = (1 << (self.out_frac + 2 + mf)) - 1
-            self.node_frac = max(self.reg_fmt.frac_bits, mf)
-            lift = self.node_frac - self.reg_fmt.frac_bits
-            leaf_tables = [(1 << self.node_frac, c << lift) for c in self.reg_codes]
+            entry_frac = reg_fmt.frac_bits
             groups = tuple((b,) for b in bits)
             self.f_max = self.wide_max
-        self.reduce, self.root = self._reducer(self.f_max)
+        self.node_frac = max(entry_frac, mf)
+        lift = self.node_frac - entry_frac
+        leaf_tables = [[None if e is None else e.code << lift for e in entries] for entries in self.entries]
+        self.reduce, self.outer, self.root = self._reducer(self.f_max)
         self.order = [b for group in groups for b in group]
         offsets = [0]
         for group in groups:
@@ -392,15 +400,17 @@ class _Plan:
         self.kernel = self._kernel(_gather(self.order))
 
     def _reducer(self, clamp: int):
-        """The product tree's combine, as ``reduce`` and ``root``.
+        """The product tree's combine, as ``reduce``, ``outer`` and ``root``.
 
         ``reduce`` combines in place along a step list, passes a bypassed
         value (None) up exactly and lifts each product back to
         ``node_frac``; calling ``root`` per combine would cost single calls
-        about 0.2 us per leaf.  ``root(p)`` rounds the product of the root's
-        children to f.  A bypassed root child enters it as
-        ``1 << node_frac``, whose product rounds the other child to the
-        multiplier precision exactly as a separate rescale would.
+        about 0.2 us per leaf.  ``outer`` tabulates the same combine over
+        two sibling subtree tables, the left child's address in the low bits.
+        ``root(p)`` rounds the product of the root's children to f.  A
+        bypassed root child enters it as ``1 << node_frac``, whose product
+        rounds the other child to the multiplier precision exactly as a
+        separate rescale would.
         """
         lift = self.node_frac - self.mf
         shift = self.node_frac + lift
@@ -420,24 +430,31 @@ class _Plan:
                     vals[i] = (p if p < clamp else clamp) << lift
             return vals[0]
 
+        def outer(left, right) -> list:
+            return [
+                a if b is None else b if a is None
+                else (p if (p := ((c := a * b) + bias + (c >> shift & odd)) >> shift) < clamp else clamp) << lift
+                for b in right for a in left
+            ]
+
         def root(p: int) -> int:
             p = (p + bias + (p >> shift & odd)) >> shift
             return p if p < clamp else clamp
 
-        return reduce, root
+        return reduce, outer, root
 
-    def _tabulate(self, parts) -> tuple[list, int, int]:
-        """``(table, offset, mask)`` of the subtree over ``parts``, valued at every address."""
-        if len(parts) == 1:
-            return parts[0]
-        base = parts[0][1]
-        width = sum(mask.bit_length() for _, _, mask in parts)
-        steps = _tree_steps(len(parts))
-        table = [
-            self.reduce([t[a >> (o - base) & mask] for t, o, mask in parts], steps)
-            for a in range(1 << width)
-        ]
-        return table, base, (1 << width) - 1
+    def _subtree(self, parts) -> list | tuple:
+        """The table of the subtree over ``parts``, valued at every address.
+
+        The parts split where the last step of ``_tree_steps`` joins them,
+        and each level is the ``outer`` product of its children's tables,
+        so every entry is the value the kernel's ``reduce`` reaches.  No
+        parts stand for a lone leaf's bypassed partner.
+        """
+        if len(parts) < 2:
+            return parts[0][0] if parts else (None,)
+        split = _tree_steps(len(parts))[-1][1]
+        return self.outer(self._subtree(parts[:split]), self._subtree(parts[split:]))
 
     def _kernel(self, gather):
         """m -> output magnitude code: the tree to the root's children, the root, then the final stage."""
@@ -469,24 +486,19 @@ class _Plan:
     def walk(self) -> tuple[array | list, array | range]:
         """The tree part of a sweep: ``(fs, slots)`` over the magnitudes below ``live``.
 
-        Subtree tables of at most 256 entries stand for the bottom levels of
-        the tree: a pair of 4-bit LUTs, a quad of 2-bit LUTs or 8 registers.
-        They give the root's two children at every address, and the root
-        fills f for every gathered address, one row per right-child value.
+        The root's two children are valued at every address, each level of
+        the tree an outer product of its children's tables.  The root then
+        fills f for every gathered address, one row per right-child value:
+        the last outer product.
         The walk then reads f of every magnitude below ``live`` in order and
         keeps one f per run of equal values; the published variant keeps the
         f of every register row.  ``slots[m]`` is magnitude m's entry in the
         output table that ``table(fs)`` builds, for any configuration that
         shares this one's tree.
         """
-        per = 8 // max(mask.bit_length() for _, _, mask in self.leaves)
-        nodes = [self._tabulate(self.leaves[c:c + per]) for c in range(0, len(self.leaves), per)]
-        steps = _tree_steps(len(nodes))
-        if steps:
-            split = steps[-1][1]
-            left, right = self._tabulate(nodes[:split])[0], self._tabulate(nodes[split:])[0]
-        else:
-            left, right = nodes[0][0], [None]
+        steps = _tree_steps(len(self.leaves))
+        split = steps[-1][1] if steps else 1
+        left, right = self._subtree(self.leaves[:split]), self._subtree(self.leaves[split:])
         unit, root = 1 << self.node_frac, self.root
         left = [unit if a is None else a for a in left]
         fs = array(_typecode(self.f_max)) if self.f_max < 1 << 64 else []
@@ -624,19 +636,13 @@ class _Plan:
         cfg, mf = self.cfg, self.mf
         g = rec[0] if rec else 0
         addresses = trace.lut_addresses = [g >> offset & mask for _, offset, mask in self.leaves]
+        trace.lut_entries = [entries[a] for entries, a in zip(self.entries, addresses)]
         if cfg.variant is Variant.PUBLISHED:
             _, f, *iterates, t, r = rec
-            one = 1 << self.reg_fmt.frac_bits
-            trace.lut_entries = [
-                Fx(c if a else one, self.reg_fmt) for a, c in zip(addresses, self.reg_codes)
-            ]
             trace.factor = Fx(f, _unsigned(self.out_frac + 2, mf))
             trace.pre_correction = Fx(t, cfg.mult_fmt)
             trace.residual = Fx(r, self.mag_fmt)
         else:
-            trace.lut_entries = [
-                Fx(table[a], cfg.lut_fmt) if a else None for a, table in zip(addresses, self.tables)
-            ]
             if not rec:
                 return
             _, f, n, d, *iterates = rec

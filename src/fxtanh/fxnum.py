@@ -100,8 +100,8 @@ class Fx:
     def __init__(self, code: int, fmt: QFormat):
         if not fmt.code_min <= code <= fmt.code_max:
             raise ValueError(f"code {code} does not fit {fmt}")
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "fmt", fmt)
+        _set_code(self, code)
+        _set_fmt(self, fmt)
 
     def __setattr__(self, name, value):
         raise AttributeError("Fx is immutable")
@@ -122,6 +122,10 @@ class Fx:
 
     def __repr__(self) -> str:
         return f"Fx({self.code}, {self.fmt}, value={self.value!r})"
+
+
+# the slots' own setters: half the cost of object.__setattr__
+_set_code, _set_fmt = Fx.code.__set__, Fx.fmt.__set__
 
 
 def _rescale(code: int, shift: int, nearest: bool) -> int:

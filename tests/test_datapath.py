@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fxtanh.analysis import exhaustive_sweep
 from fxtanh.datapath import (
     NrSeed,
     Subtractor,
@@ -24,13 +25,15 @@ from fxtanh.datapath import (
     Variant,
     _half_even,
     _prepare,
+    _published_registers,
+    _tree_steps,
     build_luts_for,
     magnitude_outputs,
     reference_config,
     tanh_fx,
 )
 from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize, to_real
-from fxtanh.lutgen import GroupingScheme, shuffle_map, velocity_factor
+from fxtanh.lutgen import GroupingScheme, build_luts, shuffle_map, velocity_factor, velocity_factor_original
 
 CFG = reference_config()
 LUTS = build_luts_for(CFG)
@@ -317,6 +320,19 @@ class TestTanhFx:
         assert all(a == 0 for a in trace.lut_addresses)
         assert trace.output.code == 0
 
+    @pytest.mark.parametrize("group", [1, 4])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["default", "supplied"])
+    def test_trace_entries_are_the_lut_entries(self, group, supplied):
+        cfg = replace(CFG, grouping=GroupingScheme(group, group == 4))
+        # supplied tables are equal to the default ones but other objects
+        luts = build_luts(cfg.input_fmt, cfg.grouping, cfg.lut_fmt) if supplied else build_luts_for(cfg)
+        for code in (0, 1, HALF, -LAST, _in(2.718).code):
+            trace = TanhTrace()
+            tanh_fx(Fx(code, cfg.input_fmt), cfg, luts if supplied else None, trace)
+            assert len(trace.lut_entries) == len(luts)
+            for lut, a, entry in zip(luts, trace.lut_addresses, trace.lut_entries):
+                assert entry is (None if a == 0 else lut.entries[a])
+
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("first,second", [(0.8125, 6.5), (0.8125, -2.25)])
     def test_reused_trace_equals_a_fresh_one(self, variant, first, second):
@@ -371,10 +387,38 @@ class TestPublishedVariant:
         assert y == trace.output == tanh_fx(x, self.PCFG)
         assert y.code == magnitude_outputs(self.PCFG)[x.code]
 
+    def test_trace_entries_are_the_registers(self):
+        bits, fmt, _ = _published_registers(CFG.input_fmt, CFG.lut_fmt, self.PCFG.published_threshold)
+        frac = CFG.input_fmt.frac_bits
+        codes = [quantize(velocity_factor_original(2.0 ** (b - frac)), fmt, RoundMode.NEAREST_EVEN).code for b in bits]
+        one = Fx(1 << fmt.frac_bits, fmt)
+        seen = set()
+        for code in (1, _in(0.3).code, _in(2.718).code, -_in(1.25).code):
+            trace = _trace(code, self.PCFG)
+            assert trace.lut_entries == [Fx(c, fmt) if a else one for c, a in zip(codes, trace.lut_addresses)]
+            seen.update(trace.lut_addresses)
+        assert seen == {0, 1}
+
     def test_narrow_entries_cannot_hold_the_factor_range(self):
         bad = replace(self.PCFG, lut_fmt=QFormat(False, 0, 10))
         with pytest.raises(ValueError):
             tanh_fx(Fx(0, CFG.input_fmt), bad)
+
+    def test_a_refusal_is_worked_out_once(self):
+        # accepted at construction, refused at the first evaluation of each
+        # entry point with the same text, from one cached look at the registers
+        bad = replace(self.PCFG, lut_fmt=QFormat(False, 0, 9))
+        _published_registers.cache_clear()
+        x = Fx(3, CFG.input_fmt)
+        messages = []
+        sweep, call, traced = (lambda: exhaustive_sweep(bad), lambda: tanh_fx(x, bad),
+                               lambda: tanh_fx(x, bad, None, TanhTrace()))
+        for evaluate in (sweep, call, traced):
+            with pytest.raises(ValueError, match="9-bit entries cannot hold factors") as refused:
+                evaluate()
+            messages.append(str(refused.value))
+        assert len(set(messages)) == 1
+        assert _published_registers.cache_info().misses == 1
 
 
 def _small(int_bits, frac_bits, out_bits, lut_bits, mult_bits, **kw) -> TanhConfig:
@@ -572,3 +616,69 @@ class TestWideConfigs:
                 sum(mask.bit_length() for _, _, mask in _prepare(cfg, None).leaves) > 16
                 for cfg in _wide_configs() if cfg.variant is variant
             )
+
+
+def _reduced(plan, parts) -> list:
+    """The subtree over ``parts`` at every address, each reduced along ``_tree_steps``."""
+    base, steps = parts[0][1], _tree_steps(len(parts))
+    width = sum(mask.bit_length() for _, _, mask in parts)
+    return [plan.reduce([t[a >> (o - base) & mask] for t, o, mask in parts], steps) for a in range(1 << width)]
+
+
+def _kernel_children(plan) -> tuple[list, list]:
+    """The root's two children at every address, as the kernel reaches them for one magnitude."""
+    leaves, steps = plan.leaves, _tree_steps(len(plan.leaves))
+    split = steps[-1][1]
+    low = leaves[split][1]                  # the right child's first address bit
+    high = sum(mask.bit_length() for _, _, mask in leaves) - low
+
+    def children(g: int) -> list:
+        vals = [t[g >> o & mask] for t, o, mask in leaves]
+        plan.reduce(vals, steps[:-1])
+        return vals
+
+    return [children(a)[0] for a in range(1 << low)], [children(b << low)[split] for b in range(1 << high)]
+
+
+_TREES = [
+    _small(3, 6, 8, 12, 10, grouping=GroupingScheme(group, shuffle), internal_round=rounding)
+    for group, shuffle, rounding in product((1, 2, 4), (True, False), RoundMode)
+] + [
+    _small(3, 6, 8, 18, 10, variant=_PUB, published_threshold=2.0 ** -6, internal_round=rounding)
+    for rounding in RoundMode
+] + [
+    # 14 leaves: the right child is a subtree of six
+    _small(3, 11, 13, 18, 14, grouping=GroupingScheme(1, True)),
+    _small(3, 11, 13, 18, 14, variant=_PUB, published_threshold=2.0 ** -11, internal_round=RoundMode.TRUNCATE),
+    # 17 magnitude bits: the left child is a 65,536-entry product of two 256-entry tables
+    _small(3, 14, 15, 18, 16, grouping=GroupingScheme(2, True)),
+]
+
+
+class TestSubtreeTables:
+    """The sweep's subtree tables, built level by level as outer products, hold the kernel's tree values."""
+
+    @pytest.mark.parametrize("rounding", list(RoundMode))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_part_count(self, variant, rounding):
+        # nine 1-bit leaves: LUTs of group 1, or published registers
+        cfg = _small(3, 6, 8, 18, 10, grouping=GroupingScheme(1, False), variant=variant,
+                     published_threshold=2.0 ** -6, internal_round=rounding)
+        plan = _prepare(cfg, None)
+        assert len(plan.leaves) == 9
+        for n in range(1, 10):
+            for parts in (plan.leaves[:n], plan.leaves[-n:]):
+                assert list(plan._subtree(parts)) == _reduced(plan, parts), n
+
+    @pytest.mark.parametrize("cfg", _TREES, ids=lambda cfg: cfg.describe())
+    def test_root_children_equal_the_kernel(self, cfg):
+        plan = _prepare(cfg, None)
+        split = _tree_steps(len(plan.leaves))[-1][1]
+        left, right = _kernel_children(plan)
+        assert list(plan._subtree(plan.leaves[:split])) == left
+        assert list(plan._subtree(plan.leaves[split:])) == right
+
+    def test_a_tree_over_more_than_16_bits(self):
+        plan = _prepare(_TREES[-1], None)
+        assert sum(mask.bit_length() for _, _, mask in plan.leaves) == 17
+        assert len(plan._subtree(plan.leaves[:8])) == 1 << 16

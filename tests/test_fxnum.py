@@ -78,12 +78,12 @@ class TestQFormat:
 
 class TestFx:
     def test_code_must_fit(self):
-        Fx(S3_12.code_max, S3_12)
-        Fx(S3_12.code_min, S3_12)
-        with pytest.raises(ValueError):
-            Fx(S3_12.code_max + 1, S3_12)
-        with pytest.raises(ValueError):
-            Fx(-1, U0_18)
+        for fmt in (S3_12, U0_18):
+            Fx(fmt.code_max, fmt)
+            Fx(fmt.code_min, fmt)
+            for code in (fmt.code_min - 1, fmt.code_max + 1):
+                with pytest.raises(ValueError, match="does not fit"):
+                    Fx(code, fmt)
 
     def test_equality_requires_same_format(self):
         assert Fx(0, S3_12) != Fx(0, S_15)
@@ -93,6 +93,9 @@ class TestFx:
         v = Fx(1, S3_12)
         with pytest.raises(AttributeError):
             v.code = 2
+        with pytest.raises(AttributeError):
+            v.fmt = S_15
+        assert v.code == 1 and v.fmt is S3_12
 
 
 class TestQuantize:
