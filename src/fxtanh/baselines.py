@@ -1,7 +1,8 @@
-"""Reference oracle and comparison approximations (piecewise linear, Taylor).
+"""Comparison approximations: piecewise linear and Taylor.
 
-These run in real arithmetic; quantization happens only at the output when a
-caller asks for it, which keeps method error separate from rounding error.
+They run in real arithmetic and are measured against ``math.tanh``;
+quantization happens only at the output when a caller asks for it, which
+keeps method error separate from rounding error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from operator import itemgetter
 
 # tanh x = x - x^3/3 + 2x^5/15 - 17x^7/315 + ...
 _TAYLOR_COEFFS = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0)
-
-
-def reference_tanh(x: float) -> float:
-    """(e^x - e^-x)/(e^x + e^-x) at full working precision; the error oracle."""
-    return math.tanh(x)
 
 
 @dataclass(frozen=True)

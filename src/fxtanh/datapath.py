@@ -234,7 +234,9 @@ def _unsigned(int_bits: int, frac_bits: int) -> QFormat:
 
 def _half_even(shift: int, nearest: bool) -> tuple[int, int]:
     """``(bias, odd)`` such that ``(v + bias + (v >> shift & odd)) >> shift``
-    equals ``fxnum._rescale(v, shift, nearest)`` for every ``shift >= 0``."""
+    equals ``v / 2**shift`` rounded exactly, half to even when `nearest` and
+    floored otherwise (``round`` or ``math.floor`` of the ``Fraction``), for
+    every ``shift >= 0``."""
     if nearest and shift > 0:
         return (1 << (shift - 1)) - 1, 1
     return 0, 0

@@ -1,10 +1,12 @@
-"""Parametric fixed-point formats and exact, width-controlled arithmetic.
+"""Parametric fixed-point formats, immutable values and quantization.
 
 Every quantity in the datapath is an integer code paired with a ``QFormat``
-describing its layout (sign bit, integer bits, fractional bits).  All
-operations are pure functions over immutable values and saturate instead of
-wrapping: a hardware datapath that wraps on overflow would produce
-catastrophic errors, so saturation is the only overflow behaviour modelled.
+describing its layout (sign bit, integer bits, fractional bits).  The
+datapath's arithmetic runs on raw integer codes (see ``datapath``); this
+module supplies the formats, the ``Fx`` values at its boundary and
+``quantize``, which saturates instead of wrapping: a hardware datapath that
+wraps on overflow would produce catastrophic errors, so saturation is the
+only overflow behaviour modelled.
 
 Rounding is explicit everywhere.  ``TRUNCATE`` is two's-complement
 truncation (drop low bits, i.e. floor), the behaviour of a hardware
@@ -128,24 +130,6 @@ class Fx:
 _set_code, _set_fmt = Fx.code.__set__, Fx.fmt.__set__
 
 
-def _rescale(code: int, shift: int, nearest: bool) -> int:
-    """Shift a code right by `shift` bits (left if negative) with rounding.
-
-    Right shifts of negative codes floor toward -inf, matching hardware
-    truncation of two's-complement values.
-    """
-    if shift <= 0:
-        return code << -shift
-    if not nearest:
-        return code >> shift
-    q = code >> shift
-    rem = code - (q << shift)
-    half = 1 << (shift - 1)
-    if rem > half or (rem == half and (q & 1)):
-        q += 1
-    return q
-
-
 def _saturate(code: int, fmt: QFormat) -> int:
     if code > fmt.code_max:
         return fmt.code_max
@@ -172,66 +156,3 @@ def quantize(x: float, fmt: QFormat, mode: RoundMode) -> Fx:
     else:
         code = round(scaled)
     return Fx(_saturate(code, fmt), fmt)
-
-
-def to_real(v: Fx) -> float:
-    """Exact real value of a fixed-point code: ``code * 2**-frac_bits``."""
-    return v.code * v.fmt.ulp
-
-
-def requantize(v: Fx, fmt: QFormat, mode: RoundMode) -> Fx:
-    """Re-express a value in another format, rounding and saturating."""
-    code = _rescale(v.code, v.fmt.frac_bits - fmt.frac_bits, mode is RoundMode.NEAREST_EVEN)
-    return Fx(_saturate(code, fmt), fmt)
-
-
-def mul_fx(a: Fx, b: Fx, out_fmt: QFormat, mode: RoundMode) -> Fx:
-    """Fixed-width multiply: exact double-width product, then one rounding.
-
-    The full integer product is kept before rescaling, so `out_fmt` and
-    `mode` are the single source of quantization; the result saturates to
-    `out_fmt`'s range.
-    """
-    prod = a.code * b.code
-    shift = a.fmt.frac_bits + b.fmt.frac_bits - out_fmt.frac_bits
-    code = _rescale(prod, shift, mode is RoundMode.NEAREST_EVEN)
-    return Fx(_saturate(code, out_fmt), out_fmt)
-
-
-def add_fx(a: Fx, b: Fx, out_fmt: QFormat, mode: RoundMode) -> Fx:
-    """Saturating add; operands are aligned losslessly before the rounding."""
-    frac = max(a.fmt.frac_bits, b.fmt.frac_bits)
-    total = (a.code << (frac - a.fmt.frac_bits)) + (b.code << (frac - b.fmt.frac_bits))
-    code = _rescale(total, frac - out_fmt.frac_bits, mode is RoundMode.NEAREST_EVEN)
-    return Fx(_saturate(code, out_fmt), out_fmt)
-
-
-def sub_fx(a: Fx, b: Fx, out_fmt: QFormat, mode: RoundMode) -> Fx:
-    """Saturating subtract; exact when fractions already agree."""
-    frac = max(a.fmt.frac_bits, b.fmt.frac_bits)
-    total = (a.code << (frac - a.fmt.frac_bits)) - (b.code << (frac - b.fmt.frac_bits))
-    code = _rescale(total, frac - out_fmt.frac_bits, mode is RoundMode.NEAREST_EVEN)
-    return Fx(_saturate(code, out_fmt), out_fmt)
-
-
-def ones_complement_sub1(f: Fx) -> Fx:
-    """Approximate ``1 - f`` by bitwise complement of the code.
-
-    Only defined for unsigned fractional-only operands.  The result is
-    exactly one ulp below the true difference: ``(1 - ulp) - f``.
-    """
-    if f.fmt.signed or not f.fmt.fractional_only:
-        raise ValueError(f"ones-complement subtraction needs an unsigned fractional-only format, got {f.fmt}")
-    return Fx(f.code ^ f.fmt.code_max, f.fmt)
-
-
-def abs_split(x: Fx) -> tuple[bool, Fx]:
-    """Split a signed value into (sign, magnitude in the unsigned format).
-
-    The most-negative code has no representable magnitude and saturates to
-    the unsigned maximum.
-    """
-    if not x.fmt.signed:
-        raise ValueError(f"abs_split needs a signed format, got {x.fmt}")
-    mag_fmt = x.fmt.magnitude_format()
-    return x.code < 0, Fx(min(abs(x.code), mag_fmt.code_max), mag_fmt)

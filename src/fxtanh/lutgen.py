@@ -42,20 +42,6 @@ def velocity_factor_original(a: float) -> float:
     return (1.0 + t) / (1.0 - t)
 
 
-def tanh_from_factor(f: float) -> float:
-    """Invert the factor transform: tanh a = (1 - f)/(1 + f) for f in (0, 1]."""
-    if not 0.0 < f <= 1.0:
-        raise ValueError(f"factor {f} outside (0, 1]")
-    return (1.0 - f) / (1.0 + f)
-
-
-def tanh_from_factor_original(f: float) -> float:
-    """Inverted-convention transform: tanh a = (f - 1)/(f + 1) for f >= 1."""
-    if f < 1.0:
-        raise ValueError(f"factor {f} below 1")
-    return (f - 1.0) / (f + 1.0)
-
-
 @dataclass(frozen=True)
 class GroupingScheme:
     """How magnitude bits are partitioned into LUT address groups."""
@@ -156,7 +142,7 @@ def build_luts(input_fmt: QFormat, scheme: GroupingScheme, entry_fmt: QFormat) -
                 if (addr >> i) & 1
             )
             q = quantize(velocity_factor(angle), entry_fmt, RoundMode.NEAREST_EVEN)
-            entries.append(Fx(max(q.code, 1), entry_fmt))
+            entries.append(q if q.code else Fx(1, entry_fmt))
         luts.append(VelocityLut(group, entry_fmt, tuple(entries)))
     return luts
 

@@ -21,7 +21,7 @@ from fxtanh.datapath import (
     reference_config,
     tanh_fx,
 )
-from fxtanh.fxnum import Fx, QFormat, to_real
+from fxtanh.fxnum import Fx, QFormat
 from fxtanh.lutgen import (
     GroupingScheme,
     parse_memh,

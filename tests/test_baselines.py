@@ -1,43 +1,10 @@
-"""Reference oracle and comparison baseline tests."""
+"""Comparison baseline tests: piecewise linear and Taylor."""
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fxtanh.baselines import (
-    PwlTable,
-    pwl_tanh,
-    reference_tanh,
-    taylor_tanh,
-    uniform_pwl_table,
-)
-
-# float64 tanh rounds to exactly 1.0 past |x| ~ 18.7, so bounds are only
-# meaningful below that
-xs = st.floats(min_value=-18.0, max_value=18.0, allow_nan=False)
-
-
-class TestReferenceTanh:
-    def test_zero(self):
-        assert reference_tanh(0.0) == 0.0
-
-    def test_known_value(self):
-        assert reference_tanh(2.0) == pytest.approx(0.96402758, abs=1e-8)
-
-    @given(xs)
-    def test_odd(self, x):
-        assert reference_tanh(-x) == -reference_tanh(x)
-
-    @given(xs)
-    def test_bounded(self, x):
-        assert -1.0 < reference_tanh(x) < 1.0
-
-    def test_strictly_increasing_on_grid(self):
-        grid = [i / 64 for i in range(-512, 513)]
-        vals = [reference_tanh(x) for x in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+from fxtanh.baselines import PwlTable, pwl_tanh, taylor_tanh, uniform_pwl_table
 
 
 class TestPwl:
@@ -66,7 +33,7 @@ class TestPwl:
     def test_error_bounded_between_knots(self):
         table = uniform_pwl_table(0.25, 5.6)
         worst = max(
-            abs(pwl_tanh(i / 512, table) - reference_tanh(i / 512))
+            abs(pwl_tanh(i / 512, table) - math.tanh(i / 512))
             for i in range(0, 512 * 6)
         )
         # curvature bound: max|tanh''| * spacing^2 / 8
@@ -96,13 +63,13 @@ class TestTaylor:
             taylor_tanh(0.5, 9)
 
     def test_large_inputs_degrade(self):
-        err_small = abs(taylor_tanh(0.25, 3) - reference_tanh(0.25))
-        err_large = abs(taylor_tanh(2.0, 3) - reference_tanh(2.0))
+        err_small = abs(taylor_tanh(0.25, 3) - math.tanh(0.25))
+        err_large = abs(taylor_tanh(2.0, 3) - math.tanh(2.0))
         assert err_large > 100 * err_small
 
     def test_four_terms_beat_three_for_small_inputs(self):
         for i in range(1, 65):
             x = i / 128            # (0, 0.5]
-            e3 = abs(taylor_tanh(x, 3) - reference_tanh(x))
-            e4 = abs(taylor_tanh(x, 4) - reference_tanh(x))
+            e3 = abs(taylor_tanh(x, 3) - math.tanh(x))
+            e4 = abs(taylor_tanh(x, 4) - math.tanh(x))
             assert e4 < e3

@@ -32,7 +32,7 @@ from fxtanh.datapath import (
     reference_config,
     tanh_fx,
 )
-from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize, to_real
+from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import GroupingScheme, build_luts, shuffle_map, velocity_factor, velocity_factor_original
 
 CFG = reference_config()
@@ -141,34 +141,34 @@ class TestNrReciprocal:
         trace = _trace(LAST)
         assert not trace.saturated
         assert trace.denominator.code == (1 << 16) + 1     # 0.5 + 2^-17
-        assert abs(to_real(trace.nr_iterates[-1]) - 2.0) <= CFG.mult_fmt.ulp
+        assert abs(trace.nr_iterates[-1].value - 2.0) <= CFG.mult_fmt.ulp
 
     def test_near_one_converges_to_one(self):
         trace = _trace(1)
-        d = to_real(trace.denominator)
+        d = trace.denominator.value
         assert d > 1.0 - 2.0 ** -11
-        assert abs(to_real(trace.nr_iterates[-1]) - 1.0 / d) <= 2 * CFG.mult_fmt.ulp
+        assert abs(trace.nr_iterates[-1].value - 1.0 / d) <= 2 * CFG.mult_fmt.ulp
 
     def test_three_quarters_matches_real_arithmetic(self):
         trace = _trace(HALF)
-        d = to_real(trace.denominator)
+        d = trace.denominator.value
         assert abs(d - 0.75) <= 8 * 2.0 ** -17
-        r = to_real(trace.nr_iterates[-1])
+        r = trace.nr_iterates[-1].value
         assert abs(r - _real_nr(d, 3)) <= CFG.mult_fmt.ulp
         assert r == pytest.approx(1.0 / d, abs=2 * CFG.mult_fmt.ulp)
 
     def test_zero_stages_returns_the_seed(self):
         trace = _trace(HALF)
-        d = to_real(trace.denominator)
+        d = trace.denominator.value
         assert len(trace.nr_iterates) == CFG.nr_stages + 1
-        assert to_real(trace.nr_iterates[0]) == pytest.approx(2.5 - 1.5 * d, abs=2 * CFG.mult_fmt.ulp)
+        assert trace.nr_iterates[0].value == pytest.approx(2.5 - 1.5 * d, abs=2 * CFG.mult_fmt.ulp)
 
     @settings(max_examples=50)
     @given(st.integers(min_value=1, max_value=LAST))
     def test_tracks_real_iteration_within_quantization_noise(self, code):
         trace = _trace(code)
-        r = to_real(trace.nr_iterates[-1])
-        assert abs(r - _real_nr(to_real(trace.denominator), 3)) <= 4 * CFG.mult_fmt.ulp
+        r = trace.nr_iterates[-1].value
+        assert abs(r - _real_nr(trace.denominator.value, 3)) <= 4 * CFG.mult_fmt.ulp
 
     def test_real_iteration_error_squares_each_stage(self):
         for i in range(256):
@@ -198,7 +198,7 @@ class TestVelocityProduct:
 
     def test_unit_magnitude_tracks_exponential(self):
         f = _trace(1 << 12).factor
-        assert abs(to_real(f) - math.exp(-2.0)) <= 4 * CFG.mult_fmt.ulp
+        assert abs(f.value - math.exp(-2.0)) <= 4 * CFG.mult_fmt.ulp
 
     def test_rejects_wrong_magnitude_format(self):
         # the unsigned magnitude format is not the input format
@@ -243,9 +243,9 @@ class TestFinalStage:
 
     def test_half_factor_gives_one_third(self):
         trace = _trace(HALF)
-        f = to_real(trace.factor)
+        f = trace.factor.value
         assert abs(f - 0.5) <= 8 * CFG.mult_fmt.ulp
-        assert abs(to_real(trace.output) - (1 - f) / (1 + f)) <= 2 * OUT_ULP
+        assert abs(trace.output.value - (1 - f) / (1 + f)) <= 2 * OUT_ULP
 
     def test_subtractor_modes_differ_by_at_most_one_mult_ulp_propagated(self):
         ones_cfg = replace(CFG, subtractor=Subtractor.ONES)
@@ -259,7 +259,7 @@ class TestFinalStage:
         oracle_cfg = replace(CFG, nr_stages=0)
         for code in range(0, LAST + 1, 7):
             trace = _trace(code, oracle_cfg)
-            f = 1.0 if trace.factor is None else to_real(trace.factor)
+            f = 1.0 if trace.factor is None else trace.factor.value
             assert trace.nr_iterates == []
             assert trace.output == quantize((1 - f) / (1 + f), CFG.output_fmt, RoundMode.NEAREST_EVEN)
 
@@ -300,7 +300,7 @@ class TestTanhFx:
     @given(st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1))
     def test_error_stays_within_a_few_output_ulps(self, code):
         y = tanh_fx(Fx(code, CFG.input_fmt), CFG, LUTS)
-        assert abs(to_real(y) - math.tanh(code * CFG.input_fmt.ulp)) <= 2 * OUT_ULP
+        assert abs(y.value - math.tanh(code * CFG.input_fmt.ulp)) <= 2 * OUT_ULP
 
     def test_trace_matches_plain_evaluation(self):
         trace = TanhTrace()
@@ -356,7 +356,7 @@ class TestPublishedVariant:
         assert trace.lut_addresses == [(code >> b) & 1 for b in range(5, 15)]
         assert len(trace.lut_entries) == 10
         assert all(e.fmt.width == self.PCFG.lut_fmt.width for e in trace.lut_entries)
-        assert to_real(trace.residual) == (code & 31) * CFG.input_fmt.ulp
+        assert trace.residual.value == (code & 31) * CFG.input_fmt.ulp
 
     def test_low_bits_only_pass_through_exactly(self):
         # below the register threshold the whole input is the residual and
@@ -364,7 +364,7 @@ class TestPublishedVariant:
         for code in (1, 7, 17, 31):
             x = Fx(code, CFG.input_fmt)
             y = tanh_fx(x, self.PCFG)
-            assert to_real(y) == to_real(x)
+            assert y.value == x.value
 
     def test_unit_input_within_a_few_ulps(self):
         y = tanh_fx(_in(1.0), self.PCFG)
@@ -501,7 +501,7 @@ class TestStageMonotonicity:
             worst = 0.0
             for code in range(cfg.input_fmt.code_min, cfg.input_fmt.code_max + 1):
                 y = tanh_fx(Fx(code, cfg.input_fmt), cfg)
-                worst = max(worst, abs(to_real(y) - math.tanh(code * cfg.input_fmt.ulp)))
+                worst = max(worst, abs(y.value - math.tanh(code * cfg.input_fmt.ulp)))
             return worst
         assert max_err(replace(small, nr_stages=3)) <= max_err(replace(small, nr_stages=2))
 

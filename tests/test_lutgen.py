@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize, to_real
+from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import (
     GroupingScheme,
     VelocityLut,
@@ -14,8 +14,6 @@ from fxtanh.lutgen import (
     export_memh,
     parse_memh,
     shuffle_map,
-    tanh_from_factor,
-    tanh_from_factor_original,
     velocity_factor,
     velocity_factor_original,
     write_rom_files,
@@ -63,30 +61,6 @@ class TestVelocityFactor:
     @given(angles)
     def test_reciprocal_duality(self, a):
         assert abs(velocity_factor(a) * velocity_factor_original(a) - 1.0) <= 1e-12
-
-
-class TestFactorInversion:
-    def test_unit_factor_is_zero(self):
-        assert tanh_from_factor(1.0) == 0.0
-        assert tanh_from_factor_original(1.0) == 0.0
-
-    def test_known_points(self):
-        assert tanh_from_factor(math.exp(-2.0)) == pytest.approx(0.76159416, abs=1e-8)
-        assert tanh_from_factor(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert tanh_from_factor_original(54.59815) == pytest.approx(0.96402758, abs=1e-7)
-        assert tanh_from_factor_original(3.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            tanh_from_factor(0.0)
-        with pytest.raises(ValueError):
-            tanh_from_factor(1.5)
-        with pytest.raises(ValueError):
-            tanh_from_factor_original(0.99)
-
-    @given(angles)
-    def test_composes_to_tanh(self, a):
-        assert abs(tanh_from_factor(velocity_factor(a)) - math.tanh(a)) <= 1e-12
 
 
 class TestShuffleMap:
@@ -150,7 +124,7 @@ class TestBuildLuts:
         luts = build_luts(S3_12, GroupingScheme(1, False), U0_18)
         lut14 = luts[14]        # bit 14 has weight 2^2
         assert lut14.bit_indices == (14,)
-        assert to_real(lut14.entries[1]) == pytest.approx(3.3546e-4, abs=2e-6)
+        assert lut14.entries[1].value == pytest.approx(3.3546e-4, abs=2e-6)
         assert lut14.entries[1] == quantize(velocity_factor(4.0), U0_18, RoundMode.NEAREST_EVEN)
 
     def test_entries_floored_at_one_ulp(self):
