@@ -263,6 +263,127 @@ class TestFinalStage:
             assert trace.nr_iterates == []
             assert trace.output == quantize((1 - f) / (1 + f), CFG.output_fmt, RoundMode.NEAREST_EVEN)
 
+    @settings(max_examples=100)
+    @given(st.integers(min_value=1, max_value=LAST))
+    def test_factor_composes_to_tanh(self, code):
+        f = _trace(code).factor.value
+        assert abs((1 - f) / (1 + f) - math.tanh(code * CFG.input_fmt.ulp)) <= 16 * CFG.mult_fmt.ulp
+
+    def test_oracle_row_at_unit_input_is_tanh_of_one(self):
+        trace = _trace(_in(1.0).code, replace(CFG, nr_stages=0))
+        assert abs(trace.factor.value - math.exp(-2.0)) <= 4 * CFG.mult_fmt.ulp
+        assert abs(trace.output.value - math.tanh(1.0)) <= 2 * OUT_ULP
+
+
+class TestFinalStageArithmetic:
+    """The final stage's raw-integer subtract, concatenate, iterate and rescale, read back from traces."""
+
+    MF = CFG.mult_fmt.frac_bits
+    CODES = range(1, LAST + 1, 97)
+
+    def test_numerator_is_in_the_multiplier_format(self):
+        for sub in Subtractor:
+            assert _trace(HALF, replace(CFG, subtractor=sub)).numerator.fmt == CFG.mult_fmt
+
+    def test_twos_numerator_is_the_exact_difference(self):
+        for code in self.CODES:
+            trace = _trace(code)
+            assert trace.numerator.code == (1 << self.MF) - trace.factor.code
+            assert trace.numerator.value == 1.0 - trace.factor.value
+
+    def test_ones_numerator_is_the_bitwise_complement(self):
+        ones_cfg = replace(CFG, subtractor=Subtractor.ONES)
+        for code in self.CODES:
+            trace = _trace(code, ones_cfg)
+            assert trace.numerator.code == trace.factor.code ^ ((1 << self.MF) - 1)
+
+    def test_ones_numerator_is_one_ulp_below_the_true_difference(self):
+        ones_cfg = replace(CFG, subtractor=Subtractor.ONES)
+        for code in self.CODES:
+            trace = _trace(code, ones_cfg)
+            assert trace.numerator.value == 1.0 - trace.factor.value - CFG.mult_fmt.ulp
+
+    def test_subtractors_share_everything_but_the_numerator(self):
+        ones_cfg = replace(CFG, subtractor=Subtractor.ONES)
+        for code in self.CODES:
+            twos, ones = _trace(code), _trace(code, ones_cfg)
+            assert (twos.factor, twos.denominator) == (ones.factor, ones.denominator)
+            assert twos.numerator.code - ones.numerator.code == 1
+
+    def test_denominator_is_half_of_one_plus_f_exactly(self):
+        for code in self.CODES:
+            trace = _trace(code)
+            assert trace.denominator.fmt.frac_bits == self.MF + 1
+            assert trace.denominator.value == (1.0 + trace.factor.value) / 2
+
+    def test_iterates_truncate(self):
+        # x' = x * (2 - d*x): each product floored, the loop never rounds
+        for code in self.CODES:
+            trace = _trace(code)
+            d = Fraction(trace.denominator.code, 1 << (self.MF + 1))
+            codes = [x.code for x in trace.nr_iterates]
+            for x, nxt in zip(codes, codes[1:]):
+                dx = math.floor(d * x)
+                assert nxt == min(math.floor(Fraction(x * ((2 << self.MF) - dx), 1 << self.MF)), (2 << self.MF) - 1)
+
+    @pytest.mark.parametrize("mode", list(RoundMode))
+    def test_output_is_the_product_rounded_once(self, mode):
+        cfg = replace(CFG, output_round=mode)
+        for code in self.CODES:
+            trace = _trace(code, cfg)
+            # n has mf fraction bits, x approximates 2/(1 + f) with mf
+            exact = Fraction(trace.numerator.code * trace.nr_iterates[-1].code, 1 << (2 * self.MF + 1))
+            scaled = exact * (1 << cfg.output_fmt.frac_bits)
+            want = round(scaled) if mode is RoundMode.NEAREST_EVEN else math.floor(scaled)
+            assert trace.output.code == min(want, cfg.output_fmt.code_max)
+
+    def test_published_pre_correction_inverts_the_factor(self):
+        pcfg = replace(CFG, variant=Variant.PUBLISHED)
+        for v in (0.25, 1.0, 2.718, 5.0):
+            trace = _trace(_in(v).code, pcfg)
+            f = trace.factor.value        # the inverted convention: f >= 1
+            assert f >= 1.0
+            assert abs(trace.pre_correction.value - (f - 1) / (f + 1)) <= 4 * CFG.mult_fmt.ulp
+
+
+class TestSignSplit:
+    """``tanh_fx`` splits the input into sign and magnitude and restores the sign on the output."""
+
+    def test_zero_is_positive(self):
+        trace = _trace(0)
+        assert trace.negative is False
+        assert trace.magnitude == Fx(0, MAG_FMT)
+
+    def test_negative_input(self):
+        trace = _trace(_in(-1.5).code)
+        assert trace.negative is True
+        assert trace.magnitude.value == 1.5
+        assert trace.output.code < 0
+
+    def test_magnitude_is_unsigned_with_the_input_bits(self):
+        trace = _trace(-HALF)
+        assert trace.magnitude.fmt == MAG_FMT
+        assert not MAG_FMT.signed
+        assert (MAG_FMT.int_bits, MAG_FMT.frac_bits) == (CFG.input_fmt.int_bits, CFG.input_fmt.frac_bits)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_most_negative_code_clamps_to_the_largest_magnitude(self, variant):
+        trace = _trace(CFG.input_fmt.code_min, replace(CFG, variant=variant))
+        assert trace.negative is True
+        assert trace.magnitude.code == MAG_FMT.code_max
+        assert trace.saturated
+        assert trace.output.code == -CFG.output_fmt.code_max
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_sign_and_magnitude_restore_the_input_except_most_negative(self, variant):
+        cfg = _small(2, 5, 7, 10, 8, variant=variant)
+        fmt = cfg.input_fmt
+        for code in range(fmt.code_min, fmt.code_max + 1):
+            trace = _trace(code, cfg)
+            restored = -trace.magnitude.code if trace.negative else trace.magnitude.code
+            assert restored == (-fmt.code_max if code == fmt.code_min else code)
+            assert trace.output == tanh_fx(Fx(restored, fmt), cfg)
+
 
 class TestTanhFx:
     def test_zero_is_exact(self):
