@@ -22,9 +22,6 @@ from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
 from .datapath import Subtractor, TanhConfig, Variant, _check_output_bits, _sweep_family
 from .fxnum import Fx, QFormat
 
-_MAX_SWEEP_WIDTH = 24
-
-
 def clamp_threshold(b: int) -> float:
     """Input magnitude beyond which tanh saturates a b-fraction-bit output.
 
@@ -32,8 +29,6 @@ def clamp_threshold(b: int) -> float:
     lies above the largest output code, 1 - 2**-b, and its remaining gap to
     1 is below one output ulp.
     """
-    if b < 1:
-        raise ValueError("need at least one fractional output bit")
     _check_output_bits(b)
     return math.atanh(1.0 - 2.0 ** -b)
 
@@ -108,9 +103,6 @@ def _sweep_rows(cfgs: list[TanhConfig]) -> list[_Row]:
     The magnitudes past the slots, among them the most negative input
     code's, which clamps to the largest, read the table's last code.
     """
-    width = cfgs[0].input_fmt.width
-    if width > _MAX_SWEEP_WIDTH:
-        raise ValueError(f"{width}-bit input is too wide for an exhaustive sweep (limit {_MAX_SWEEP_WIDTH})")
     slots, tables = _sweep_family(cfgs)
 
     def row(table: array, m0: int, m1: int, ts: list[float]) -> tuple[list[float], list[float]]:

@@ -20,14 +20,19 @@ Everything is a pure function over immutable configs.  The arithmetic is
 stated once, on raw integer codes, in the parts of a per-config plan: the
 product tree up to the root's two children, the root's combine, which gives
 ``f``, and the final stage from ``f`` to the output (for the published
-variant, to ``t`` and then a correction per residual).  A single call
-composes the parts over the LUTs; a traced one also decodes its
+variant, to ``t`` and then a correction per residual).  The product tree
+exists once, as tables: the root's two children valued at every address,
+each level of the tree an outer product of its children's tables, built
+on a plan's first use.  Three byte tables, shared by every plan with the
+same bit order, gather a magnitude's bits into that address.
+
+A single call reads the root's children at its address, applies the
+root's combine, then the final stage; a traced one also decodes its
 ``TanhTrace`` from the raw codes the parts record.
 
-A sweep is split at ``f``.  Its tree part values the root's children at
-every address, each level of the tree an outer product of its children's
-tables, fills ``f`` for every gathered address a row at a time, then walks
-the magnitudes in order: it keeps one ``f`` per run of equal values and
+A sweep is split at ``f``.  Its tree part fills ``f`` for every gathered
+address from the same two tables, a row at a time, then walks the
+magnitudes in order: it keeps one ``f`` per run of equal values and
 gives each magnitude a slot.  The tree part runs once for a family of
 configurations that differ only past ``f`` (stage count, subtractor,
 output rounding, seed).  Each configuration then runs its final stage
@@ -85,7 +90,9 @@ DEFAULT_NR_SEED = NrSeed()
 
 
 def _check_output_bits(b: int) -> None:
-    """Refuse b output fraction bits when 1 - 2**-b, the largest output, is no double below 1."""
+    """Refuse b output fraction bits: none at all, or so many that 1 - 2**-b, the largest output, is no double below 1."""
+    if b < 1:
+        raise ValueError("need at least one fractional output bit")
     if b > 53:
         raise ValueError(
             f"{b} output fraction bits leave no saturation threshold: "
@@ -102,6 +109,9 @@ class TanhConfig:
     tree (and other feed-forward multiplies); the Newton-Raphson loop always
     truncates, as iterative hardware on the critical path would.  The final
     rescale to ``output_fmt`` uses ``output_round``.
+
+    Inputs carry 2 to 24 bits: at least one magnitude bit, and at most the
+    width an exhaustive sweep takes.  Outputs carry 1 to 53 fraction bits.
     """
 
     input_fmt: QFormat
@@ -120,6 +130,11 @@ class TanhConfig:
     def __post_init__(self) -> None:
         if not self.input_fmt.signed:
             raise ValueError(f"input format must be signed, got {self.input_fmt}")
+        if self.input_fmt.width < 2:
+            raise ValueError("need at least one magnitude bit")
+        if self.input_fmt.width > 24:
+            # the widest input an exhaustive sweep takes; the tree's address tables cover it
+            raise ValueError(f"{self.input_fmt.width}-bit input is too wide (at most 24 bits)")
         if not self.output_fmt.signed or not self.output_fmt.fractional_only:
             raise ValueError(f"output format must be signed fractional-only, got {self.output_fmt}")
         _check_output_bits(self.output_fmt.frac_bits)
@@ -250,80 +265,59 @@ def _typecode(top: int) -> str:
     return next(t for limit, t in _TYPECODES if top < limit)
 
 
+def _split(n: int) -> int:
+    """Where the balanced tree splits n leaves: the largest power of two below n, or 0 for one leaf."""
+    return 1 << (n - 1).bit_length() >> 1
+
+
 @lru_cache(maxsize=None)
-def _tree_steps(n: int) -> tuple[tuple[int, int], ...]:
-    """In-place merges ``(i, j)`` that reduce n values as the balanced tree does.
+def _address_tables(order: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Byte tables ``t0, t1, t2`` that gather the bits ``order[0], order[1], ...`` of m from bit 0 up.
 
-    Level by level, value i absorbs value i + stride; an odd value at the
-    end of a level is carried up unchanged.  The last merge joins the root's
-    two children: the left one holds the largest power of two below n.
+    ``t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]`` is the gathered
+    address of any magnitude m below 2**24; a bit outside the order (the
+    published residual) weighs 0.
     """
-    steps: list[tuple[int, int]] = []
-    stride = 1
-    while stride < n:
-        steps += [(i, i + stride) for i in range(0, n - stride, 2 * stride)]
-        stride *= 2
-    return tuple(steps)
-
-
-def _gather(order: list[int]):
-    """Map m to its bits ``order[0], order[1], ...`` packed from bit 0 up.
-
-    Consecutive bits are one shift; otherwise bits move one at a time.
-    """
-    first = order[0]
-    if order == list(range(first, first + len(order))):
-        return lambda m: m >> first
-    moves = tuple(enumerate(order))
-
-    def gather(m: int) -> int:
-        g = 0
-        for p, b in moves:
-            g |= (m >> b & 1) << p
-        return g
-
-    return gather
-
-
-def _gathered_addresses(order: list[int]):
-    """``_gather(order)`` of m = 0, 1, 2, ..., for an order over every bit of m.
-
-    A table per byte of m gives that byte's disjoint part of the address.
-    """
-    position = {b: p for p, b in enumerate(order)}
+    weights = [0] * 24
+    for p, b in enumerate(order):
+        weights[b] = 1 << p
     tables = []
-    for lo in range(0, len(order), 8):
-        table = [0] * (1 << min(8, len(order) - lo))
-        for v in range(1, len(table)):
+    for lo in (0, 8, 16):
+        table = [0] * 256
+        for v in range(1, 256):
             low = v & -v
-            table[v] = table[v ^ low] | 1 << position[lo + low.bit_length() - 1]
+            table[v] = table[v ^ low] | weights[lo + low.bit_length() - 1]
         tables.append(table)
-    return map(sum, product(*reversed(tables)))
+    return tuple(tables)
 
 
 class _Plan:
     """Raw-integer view of one (config, luts) pair, built once per pair.
 
-    ``kernel`` maps an unsaturated magnitude to its output magnitude code.
-    It reads leaves: ``(table, offset, mask)`` triples whose address is the
-    field ``g >> offset & mask`` of the magnitude's bits gathered in leaf
-    order.  Tree values are integers at ``node_frac`` fraction bits, the
-    larger of the leaf and multiplier precisions, so a leaf passed up past a
-    bypassed partner (None, the exact 1.0) stays exact until ``root`` rounds
-    it to f.  ``final`` maps f to the output magnitude code, or for the
-    published variant to ``t``, which ``correct`` folds with each residual.
-    ``walk`` and ``table`` run the same parts over every magnitude code;
-    ``entries[i][a]`` is the ``Fx`` a trace shows for leaf i at address a.
+    The product tree reads leaves: ``(table, offset, mask)`` triples whose
+    address is the field ``g >> offset & mask`` of the magnitude's bits
+    gathered in leaf ``order``.  Tree values are integers at ``node_frac``
+    fraction bits, the larger of the leaf and multiplier precisions, so a
+    leaf passed up past a bypassed partner (None, the exact 1.0) stays exact
+    until ``root`` rounds it to f.  ``root_children`` values the root's two
+    children at every address, once, on first use; ``walk`` (a sweep's tree
+    part) and ``kernel`` (a single call) both read those tables.  ``final``
+    maps f to the output magnitude code, or for the published variant to
+    ``t``, which ``correct`` folds with each residual; ``table`` runs it
+    once per run of ``walk``.  ``entries[i][a]`` is the ``Fx`` a trace shows
+    for leaf i at address a.
 
-    Given a list as its last argument, ``kernel`` and ``final`` also append
-    the raw codes a trace shows (see ``fill_trace``).
+    ``kernel`` maps an unsaturated magnitude to its output magnitude code;
+    it is None until ``build_kernel`` makes it.  Given a list as its last
+    argument, ``kernel`` and ``final`` also append the raw codes a trace
+    shows (see ``fill_trace``).
     """
 
     __slots__ = (
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
         "entries", "c0_code", "c1_code", "x_max", "low_mask", "wide_max", "in_frac", "live",
-        "node_frac", "f_max", "leaves", "order", "reduce", "outer", "root", "final", "correct", "kernel",
+        "node_frac", "f_max", "leaves", "order", "outer", "root", "final", "correct", "children", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
@@ -386,8 +380,8 @@ class _Plan:
         self.node_frac = max(entry_frac, mf)
         lift = self.node_frac - entry_frac
         leaf_tables = [[None if e is None else e.code << lift for e in entries] for entries in self.entries]
-        self.reduce, self.outer, self.root = self._reducer(self.f_max)
-        self.order = [b for group in groups for b in group]
+        self.outer, self.root = self._reducer(self.f_max)
+        self.order = tuple(b for group in groups for b in group)
         offsets = [0]
         for group in groups:
             offsets.append(offsets[-1] + len(group))
@@ -399,16 +393,14 @@ class _Plan:
             self.final, self.correct = self._published()
         else:
             self.final, self.correct, self.low_mask = self._optimized(), None, 0
-        self.kernel = self._kernel(_gather(self.order))
+        self.children = self.kernel = None
 
     def _reducer(self, clamp: int):
-        """The product tree's combine, as ``reduce``, ``outer`` and ``root``.
+        """The product tree's combine, as ``outer`` and ``root``.
 
-        ``reduce`` combines in place along a step list, passes a bypassed
-        value (None) up exactly and lifts each product back to
-        ``node_frac``; calling ``root`` per combine would cost single calls
-        about 0.2 us per leaf.  ``outer`` tabulates the same combine over
-        two sibling subtree tables, the left child's address in the low bits.
+        ``outer`` tabulates the combine over two sibling subtree tables, the
+        left child's address in the low bits: it passes a bypassed value
+        (None) up exactly and lifts each product back to ``node_frac``.
         ``root(p)`` rounds the product of the root's children to f.  A
         bypassed root child enters it as ``1 << node_frac``, whose product
         rounds the other child to the multiplier precision exactly as a
@@ -417,20 +409,6 @@ class _Plan:
         lift = self.node_frac - self.mf
         shift = self.node_frac + lift
         bias, odd = _half_even(shift, self.tree_ne)
-
-        def reduce(vals: list, steps: tuple[tuple[int, int], ...]):
-            for i, j in steps:
-                b = vals[j]
-                if b is None:
-                    continue
-                a = vals[i]
-                if a is None:
-                    vals[i] = b
-                else:
-                    p = a * b
-                    p = (p + bias + (p >> shift & odd)) >> shift
-                    vals[i] = (p if p < clamp else clamp) << lift
-            return vals[0]
 
         def outer(left, right) -> list:
             return [
@@ -443,39 +421,54 @@ class _Plan:
             p = (p + bias + (p >> shift & odd)) >> shift
             return p if p < clamp else clamp
 
-        return reduce, outer, root
+        return outer, root
 
     def _subtree(self, parts) -> list | tuple:
         """The table of the subtree over ``parts``, valued at every address.
 
-        The parts split where the last step of ``_tree_steps`` joins them,
-        and each level is the ``outer`` product of its children's tables,
-        so every entry is the value the kernel's ``reduce`` reaches.  No
-        parts stand for a lone leaf's bypassed partner.
+        The parts split at ``_split``, and each level is the ``outer``
+        product of its children's tables.  No parts stand for a lone leaf's
+        bypassed partner.
         """
         if len(parts) < 2:
             return parts[0][0] if parts else (None,)
-        split = _tree_steps(len(parts))[-1][1]
+        split = _split(len(parts))
         return self.outer(self._subtree(parts[:split]), self._subtree(parts[split:]))
 
-    def _kernel(self, gather):
-        """m -> output magnitude code: the tree to the root's children, the root, then the final stage."""
-        leaves, reduce, root, unit = self.leaves, self.reduce, self.root, 1 << self.node_frac
-        final, correct, low_mask = self.final, self.correct, self.low_mask
-        steps = _tree_steps(len(leaves))
-        split = steps[-1][1] if steps else 0        # the right child's leaf; 0 for a lone leaf
-        steps = steps[:-1]
+    def root_children(self) -> tuple[list[int], list[int]]:
+        """The root's two children at every address, a bypass as the exact 1.0.
+
+        Built on first use and kept.  The left child's address is the low
+        bits of the gathered address, up to the right child's first leaf.
+        """
+        if self.children is None:
+            split, unit = _split(len(self.leaves)), 1 << self.node_frac
+            self.children = tuple(
+                [unit if v is None else v for v in self._subtree(parts)]
+                for parts in (self.leaves[:split], self.leaves[split:])
+            )
+        return self.children
+
+    def build_kernel(self):
+        """Make, keep and return ``kernel``: m -> output magnitude code.
+
+        The kernel gathers m's address from the order's byte tables, reads
+        the root's children there, applies ``root``, then ``final`` (and
+        ``correct`` with m's residual, for the published variant).
+        """
+        t0, t1, t2 = _address_tables(self.order)
+        left, right = self.root_children()
+        low = self.leaves[_split(len(self.leaves))][1]     # the right child's first address bit
+        mask = (1 << low) - 1
+        root, final, correct, low_mask = self.root, self.final, self.correct, self.low_mask
 
         def kernel(m: int, rec: list[int] | None = None) -> int:
-            g = gather(m)
-            vals = [t[g >> o & mask] for t, o, mask in leaves]
-            reduce(vals, steps)
-            a, b = vals[0], vals[split] if split else None
-            if a is None and b is None:
+            g = t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
+            if not g and correct is None:
                 return 0                        # every LUT bypassed: the exact 1.0
             if rec is not None:
                 rec.append(g)
-            y = final(root((unit if a is None else a) * (unit if b is None else b)), rec)
+            y = final(root(left[g & mask] * right[g >> low]), rec)
             if correct is None:
                 return y
             r = m & low_mask
@@ -483,29 +476,25 @@ class _Plan:
                 rec += y, r
             return correct(y, (r,))[0]
 
+        self.kernel = kernel
         return kernel
 
     def walk(self) -> tuple[array | list, array | range]:
         """The tree part of a sweep: ``(fs, slots)`` over the magnitudes below ``live``.
 
-        The root's two children are valued at every address, each level of
-        the tree an outer product of its children's tables.  The root then
-        fills f for every gathered address, one row per right-child value:
-        the last outer product.
+        The root fills f for every gathered address from ``root_children``,
+        one row per right-child value: the last outer product.
         The walk then reads f of every magnitude below ``live`` in order and
         keeps one f per run of equal values; the published variant keeps the
         f of every register row.  ``slots[m]`` is magnitude m's entry in the
         output table that ``table(fs)`` builds, for any configuration that
         shares this one's tree.
         """
-        steps = _tree_steps(len(self.leaves))
-        split = steps[-1][1] if steps else 1
-        left, right = self._subtree(self.leaves[:split]), self._subtree(self.leaves[split:])
-        unit, root = 1 << self.node_frac, self.root
-        left = [unit if a is None else a for a in left]
+        left, right = self.root_children()
+        root = self.root
         fs = array(_typecode(self.f_max)) if self.f_max < 1 << 64 else []
         for b in right:
-            fs.extend(map(root, map((unit if b is None else b).__mul__, left)))
+            fs.extend(map(root, map(b.__mul__, left)))
         if self.correct is not None:
             # the registers hold the high bits of m, the residual its low bits,
             # and the table holds the outputs of every register row in order
@@ -513,7 +502,8 @@ class _Plan:
         runs, prev, k = fs[:0], None, 0
         slots = array(_typecode(self.live), [0])    # m = 0 bypasses every LUT
         add_run, add_slot = runs.append, slots.append
-        for f in map(fs.__getitem__, islice(_gathered_addresses(self.order), 1, self.live)):
+        tables = _address_tables(self.order)[:-(-self.mag_max.bit_length() // 8)]
+        for f in map(fs.__getitem__, islice(map(sum, product(*reversed(tables))), 1, self.live)):
             if f != prev:
                 prev, k = f, k + 1
                 add_run(f)
@@ -693,7 +683,7 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
         mag_code = plan.mag_max
     saturated = plan.sat_code is not None and mag_code >= plan.sat_code
     rec = None if trace is None else []
-    code = plan.out_max if saturated else plan.kernel(mag_code, rec)
+    code = plan.out_max if saturated else (plan.kernel or plan.build_kernel())(mag_code, rec)
     y = Fx(-code if negative else code, cfg.output_fmt)
     if trace is not None:
         # re-initialising resets the fields this call does not reach

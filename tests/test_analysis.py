@@ -107,11 +107,6 @@ class TestExhaustiveSweep:
             assert rep.mean_abs_error == math.fsum(blocks) / len(errs)
             assert rep.samples == len(errs)
 
-    def test_rejects_wide_formats(self):
-        wide = replace(SMALL, input_fmt=QFormat(True, 3, 22))
-        with pytest.raises(ValueError):
-            exhaustive_sweep(wide)
-
     def test_more_lut_bits_do_not_degrade(self):
         base = exhaustive_sweep(SMALL)
         better = exhaustive_sweep(replace(SMALL, lut_fmt=QFormat(False, 0, 14)))

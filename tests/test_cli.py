@@ -150,9 +150,20 @@ class TestExitCodes:
         assert "x9.9" in capsys.readouterr().err
 
     def test_domain_error(self, capsys):
-        # 25-bit input exceeds the exhaustive-sweep guard
+        # a 25-bit input is refused when the configuration is built
         assert run(["sweep", "--in", "s12.12", "--out", "s.15"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "25-bit input is too wide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "table2", "compare", "eval"])
+    def test_outputs_without_fraction_bits_are_refused(self, command, capsys):
+        args = [command, "--out", "s.0"] + (["x=0.5"] if command == "eval" else [])
+        assert run(args) == 1
+        assert "need at least one fractional output bit" in capsys.readouterr().err
+
+    def test_widest_input_evaluates(self, capsys):
+        assert run(["eval", "--in", "s3.20", "--out", "s.23", "--lut-bits", "26", "--mult-bits", "24", "x=0.3"]) == 0
+        assert run(["eval", "--in", "s3.21", "x=0.3"]) == 1
+        assert "25-bit input is too wide" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         assert run([]) == 2

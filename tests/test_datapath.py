@@ -1,7 +1,8 @@
 """Pipeline tests: velocity product, reciprocal, final stage, both variants.
 
 Stage-level tests read the intermediate values a ``TanhTrace`` records,
-which come from the same kernel that untraced calls and sweeps run.
+which come from the same tree tables and stages that untraced calls and
+sweeps run.
 """
 
 import hashlib
@@ -16,17 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxtanh.analysis import exhaustive_sweep
+from fxtanh.analysis import exhaustive_sweep, table2
 from fxtanh.datapath import (
     NrSeed,
     Subtractor,
     TanhConfig,
     TanhTrace,
     Variant,
+    _address_tables,
     _half_even,
+    _Plan,
     _prepare,
     _published_registers,
-    _tree_steps,
+    _split,
     build_luts_for,
     magnitude_outputs,
     reference_config,
@@ -132,6 +135,20 @@ class TestConfigValidation:
     def test_rejects_outputs_past_53_fraction_bits(self, bits):
         with pytest.raises(ValueError, match=rf"1 - 2\*\*-{bits} rounds to 1.0 in a double"):
             _small(3, 5, bits, bits + 2, bits + 1)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rejects_outputs_without_fraction_bits(self, variant):
+        with pytest.raises(ValueError, match="need at least one fractional output bit"):
+            reference_config(output_fmt=QFormat(True, 0, 0), variant=variant)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rejects_sign_only_inputs(self, variant):
+        with pytest.raises(ValueError, match="need at least one magnitude bit"):
+            reference_config(input_fmt=QFormat(True, 0, 0), variant=variant)
+
+    def test_rejects_wide_formats(self):
+        with pytest.raises(ValueError, match="26-bit input is too wide"):
+            reference_config(input_fmt=QFormat(True, 3, 22))
 
 
 class TestNrReciprocal:
@@ -739,26 +756,46 @@ class TestWideConfigs:
             )
 
 
+def _tree_steps(n: int) -> list[tuple[int, int]]:
+    """In-place merges ``(i, j)`` that reduce n values as the balanced tree does.
+
+    Level by level, value i absorbs value i + stride; an odd value at the
+    end of a level is carried up unchanged.
+    """
+    steps, stride = [], 1
+    while stride < n:
+        steps += [(i, i + stride) for i in range(0, n - stride, 2 * stride)]
+        stride *= 2
+    return steps
+
+
+def _reduce(plan, vals: list, steps) -> int | None:
+    """Reference combine: reduce leaf values in place along ``steps``, one multiply at a time.
+
+    A bypassed value (None, the exact 1.0) passes up exactly; each product
+    is rounded to the multiplier precision, clamped at ``f_max`` and lifted
+    back to ``node_frac``.
+    """
+    lift = plan.node_frac - plan.mf
+    shift = plan.node_frac + lift
+    bias, odd = _half_even(shift, plan.tree_ne)
+    for i, j in steps:
+        a, b = vals[i], vals[j]
+        if b is None:
+            continue
+        if a is None:
+            vals[i] = b
+        else:
+            p = (a * b + bias + (a * b >> shift & odd)) >> shift
+            vals[i] = min(p, plan.f_max) << lift
+    return vals[0]
+
+
 def _reduced(plan, parts) -> list:
     """The subtree over ``parts`` at every address, each reduced along ``_tree_steps``."""
     base, steps = parts[0][1], _tree_steps(len(parts))
     width = sum(mask.bit_length() for _, _, mask in parts)
-    return [plan.reduce([t[a >> (o - base) & mask] for t, o, mask in parts], steps) for a in range(1 << width)]
-
-
-def _kernel_children(plan) -> tuple[list, list]:
-    """The root's two children at every address, as the kernel reaches them for one magnitude."""
-    leaves, steps = plan.leaves, _tree_steps(len(plan.leaves))
-    split = steps[-1][1]
-    low = leaves[split][1]                  # the right child's first address bit
-    high = sum(mask.bit_length() for _, _, mask in leaves) - low
-
-    def children(g: int) -> list:
-        vals = [t[g >> o & mask] for t, o, mask in leaves]
-        plan.reduce(vals, steps[:-1])
-        return vals
-
-    return [children(a)[0] for a in range(1 << low)], [children(b << low)[split] for b in range(1 << high)]
+    return [_reduce(plan, [t[a >> (o - base) & mask] for t, o, mask in parts], steps) for a in range(1 << width)]
 
 
 _TREES = [
@@ -777,7 +814,12 @@ _TREES = [
 
 
 class TestSubtreeTables:
-    """The sweep's subtree tables, built level by level as outer products, hold the kernel's tree values."""
+    """The subtree tables, built level by level as outer products, against a per-address reduction."""
+
+    def test_split_is_the_last_merge(self):
+        assert _split(1) == 0
+        for n in range(2, 64):
+            assert _split(n) == _tree_steps(n)[-1][1], n
 
     @pytest.mark.parametrize("rounding", list(RoundMode))
     @pytest.mark.parametrize("variant", list(Variant))
@@ -792,14 +834,93 @@ class TestSubtreeTables:
                 assert list(plan._subtree(parts)) == _reduced(plan, parts), n
 
     @pytest.mark.parametrize("cfg", _TREES, ids=lambda cfg: cfg.describe())
-    def test_root_children_equal_the_kernel(self, cfg):
-        plan = _prepare(cfg, None)
-        split = _tree_steps(len(plan.leaves))[-1][1]
-        left, right = _kernel_children(plan)
-        assert list(plan._subtree(plan.leaves[:split])) == left
-        assert list(plan._subtree(plan.leaves[split:])) == right
+    def test_root_children_equal_the_reduction(self, cfg):
+        plan = _Plan(cfg, build_luts_for(cfg) if cfg.variant is Variant.OPTIMIZED else None)
+        split, unit = _tree_steps(len(plan.leaves))[-1][1], 1 << plan.node_frac
+        left, right = plan.root_children()
+        assert left == [unit if v is None else v for v in _reduced(plan, plan.leaves[:split])]
+        assert right == [unit if v is None else v for v in _reduced(plan, plan.leaves[split:])]
 
     def test_a_tree_over_more_than_16_bits(self):
         plan = _prepare(_TREES[-1], None)
         assert sum(mask.bit_length() for _, _, mask in plan.leaves) == 17
         assert len(plan._subtree(plan.leaves[:8])) == 1 << 16
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_sweep_and_its_traced_calls_build_the_tables_once(self, monkeypatch, variant):
+        builds = []
+        subtree = _Plan._subtree
+        monkeypatch.setattr(_Plan, "_subtree", lambda plan, parts: builds.append(plan) or subtree(plan, parts))
+        cfg = _small(3, 6, 8, 18, 10, variant=variant)
+        exhaustive_sweep(cfg)
+        swept = len(builds)
+        for code in (1, -1, 200, -37, cfg.input_fmt.code_max):
+            tanh_fx(Fx(code, cfg.input_fmt), cfg, None, TanhTrace())
+        assert swept > 0 and len(builds) == swept
+        # a table2 family builds the trees of its first configuration only
+        table2(replace(cfg))
+        assert len(builds) == 2 * swept
+
+
+def _gathered(order: tuple[int, ...], m: int) -> int:
+    """Bits ``order[0], order[1], ...`` of m, packed from bit 0 up, one at a time."""
+    return sum((m >> b & 1) << p for p, b in enumerate(order))
+
+
+_ORDERS = [
+    _small(int_bits, frac_bits, 15, 18, 16, grouping=GroupingScheme(group, shuffle))
+    for int_bits, frac_bits in ((3, 20), (2, 13), (1, 4))
+    for group, shuffle in ((4, True), (4, False), (2, True), (2, False), (1, False))
+] + [
+    _small(3, 20, 15, 22, 16, variant=_PUB, published_threshold=2.0 ** -exp) for exp in (0, 7, 20)
+] + [
+    _small(2, 13, 15, 18, 16, variant=_PUB, published_threshold=2.0 ** -exp) for exp in (0, 7)
+]
+
+
+class TestAddressTables:
+    """The byte tables that give a single call and a sweep a magnitude's gathered address."""
+
+    @pytest.mark.parametrize("cfg", _ORDERS, ids=lambda cfg: cfg.describe())
+    def test_byte_tables_gather_bit_by_bit(self, cfg):
+        order = _prepare(cfg, None).order
+        t0, t1, t2 = tables = _address_tables(order)
+        for j, table in enumerate(tables):
+            assert table == [_gathered(order, v << 8 * j) for v in range(256)], j
+        top = cfg.input_fmt.code_max
+        for m in random.Random(top).sample(range(top + 1), min(500, top + 1)) + [0, top]:
+            assert t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16] == _gathered(order, m)
+
+    def test_orders_reach_23_bits(self):
+        assert max(max(_prepare(cfg, None).order) for cfg in _ORDERS) == 22
+
+
+class TestWidestInputs:
+    """24-bit inputs, the widest accepted: sampled codes without a sweep."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_sampled_codes_are_odd_and_saturate_exactly(self, variant):
+        cfg = _small(3, 20, 19, 22, 20, variant=variant)
+        fmt, out_max = cfg.input_fmt, cfg.output_fmt.code_max
+        assert fmt.width == 24
+        clamp = math.atanh(1.0 - cfg.output_fmt.ulp)
+        edge = math.floor(clamp / fmt.ulp)
+        # the published correction leaves about 150 output ulps at this precision
+        tolerance = 4 * cfg.output_fmt.ulp if variant is Variant.OPTIMIZED else 2.0 ** -10
+        codes = random.Random(variant.value).sample(range(1, fmt.code_max + 1), 200)
+        codes += [1, edge - 1, edge, edge + 1, fmt.code_max]
+        for c in codes:
+            trace = TanhTrace()
+            y = tanh_fx(Fx(c, fmt), cfg, None, trace)
+            assert y == trace.output
+            assert tanh_fx(Fx(-c, fmt), cfg).code == -y.code
+            if c * fmt.ulp >= clamp:
+                assert y.code == out_max
+            else:
+                assert abs(y.value - math.tanh(c * fmt.ulp)) <= tolerance
+        assert tanh_fx(Fx(0, fmt), cfg).code == 0
+        assert tanh_fx(Fx(fmt.code_min, fmt), cfg).code == -out_max
+
+    def test_25_bit_inputs_are_refused_at_construction(self):
+        with pytest.raises(ValueError, match="25-bit input is too wide"):
+            _small(3, 21, 19, 22, 20)
