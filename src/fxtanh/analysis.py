@@ -122,15 +122,18 @@ def _baseline_row(
 
     Outputs saturate as ``quantize`` does, negative ones at ``-code_max - 1``,
     so only a block whose |y| exceeds ``code_max`` has two sides that differ.
+    A negative input's output -y clamps to [y_min, y_max]; its error is that
+    of y clamped to [-y_max, -y_min].
     """
     ys = magnitudes(m0, m1)
     y_min, y_max = out_fmt.code_min, out_fmt.code_max
     if max(ys) <= y_max and min(ys) >= -y_max:
         errs = [abs(y - t) for y, t in zip(ys, ts)]
         return errs, errs
+    lo, hi = -y_max, -y_min
     return (
-        [abs(min(max(y, y_min), y_max) - t) for y, t in zip(ys, ts)],
-        [abs(min(max(-y, y_min), y_max) + t) for y, t in zip(ys, ts)],
+        [abs((y_max if y > y_max else y_min if y < y_min else y) - t) for y, t in zip(ys, ts)],
+        [abs((hi if y > hi else lo if y < lo else y) - t) for y, t in zip(ys, ts)],
     )
 
 

@@ -1,8 +1,8 @@
 """Comparison approximations: piecewise linear and Taylor.
 
-They run in real arithmetic and are measured against ``math.tanh``;
-quantization happens only at the output when a caller asks for it, which
-keeps method error separate from rounding error.
+Each gives the output codes of a range of input magnitude codes, computed
+column-wise over the range in real arithmetic and rounded only at the
+output, which keeps method error separate from rounding error.
 """
 
 from __future__ import annotations
@@ -41,34 +41,11 @@ def uniform_pwl_table(spacing: float = 0.25, clamp: float = 5.6) -> PwlTable:
     return PwlTable(tuple((i * spacing, math.tanh(i * spacing)) for i in range(n + 1)))
 
 
-def pwl_tanh(x: float, table: PwlTable) -> float:
-    """Linear interpolation on |x| between bracketing knots, odd-extended.
-
-    Inputs beyond the last knot return the last knot value (constant
-    extension).
-    """
-    mag = abs(x)
-    knots = table.knots
-    if mag >= knots[-1][0]:
-        y = knots[-1][1]
-    else:
-        lo, hi = 0, len(knots) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if knots[mid][0] <= mag:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = knots[lo], knots[hi]
-        y = y0 + (y1 - y0) * (mag - x0) / (x1 - x0)
-    return -y if x < 0 else y
-
-
 def _pwl_range(table: PwlTable, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
-    """``round(pwl_tanh(m * ulp, table) * scale)`` for magnitude codes m0..m1-1.
+    """Rounded output codes of linear interpolation between knots at magnitude codes m0..m1-1.
 
     Walks the knot segments from the one holding ``m0 * ulp``, one list per
-    segment, with ``pwl_tanh``'s own interpolation expression.
+    segment; magnitudes at or past the last knot take its value.
     """
     knots, last = table.knots, len(table.knots) - 1
     i = bisect_right(knots, m0 * ulp, key=itemgetter(0)) - 1
@@ -89,28 +66,20 @@ def _check_terms(terms: int) -> None:
         raise ValueError(f"at most {len(_TAYLOR_COEFFS)} terms supported")
 
 
-def taylor_tanh(x: float, terms: int) -> float:
-    """Partial sum of the tanh Taylor series around zero.
-
-    Accurate only for small |x|; the error grows rapidly toward the radius
-    of convergence and beyond, which is what the comparison is meant to
-    show.
-    """
-    _check_terms(terms)
-    return _taylor_sum(x, terms)
-
-
-def _taylor_sum(x: float, terms: int) -> float:
-    """``taylor_tanh`` for a term count already checked."""
-    acc = 0.0
-    xsq = x * x
-    power = x
-    for k in range(terms):
-        acc += _TAYLOR_COEFFS[k] * power
-        power *= xsq
-    return acc
-
-
 def _taylor_range(terms: int, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
-    """``round(taylor_tanh(m * ulp, terms) * scale)`` for magnitude codes m0..m1-1."""
-    return [round(_taylor_sum(m * ulp, terms) * scale) for m in range(m0, m1)]
+    """Rounded output codes of the tanh Taylor partial sum at magnitude codes m0..m1-1.
+
+    The sum is accurate only for small |x|; its error grows rapidly toward
+    the radius of convergence and beyond, which is what the comparison is
+    meant to show.  It is computed column-wise over the range, and each
+    element sees the scalar sum's float operations in its order: acc = x
+    (the first term, 0.0 + 1.0 * x), then per term power *= x * x and
+    acc += coefficient * power.
+    """
+    xs = [m * ulp for m in range(m0, m1)]
+    sq = [x * x for x in xs]
+    acc = power = xs
+    for c in _TAYLOR_COEFFS[1:terms]:
+        power = [p * s for p, s in zip(power, sq)]
+        acc = [a + c * p for a, p in zip(acc, power)]
+    return [round(a * scale) for a in acc]

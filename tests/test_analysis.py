@@ -16,10 +16,11 @@ from fxtanh.analysis import (
     render_table2,
     table2,
 )
-from fxtanh.baselines import pwl_tanh, taylor_tanh, uniform_pwl_table
+from fxtanh.baselines import uniform_pwl_table
 from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, reference_config, tanh_fx
 from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import GroupingScheme
+from test_baselines import pwl_tanh, taylor_tanh
 
 SMALL = TanhConfig(
     input_fmt=QFormat(True, 3, 5),
@@ -220,6 +221,46 @@ class TestCompareMethods:
         pwl = uniform_pwl_table(0.25, 2.8)
         with pytest.raises(ValueError, match="integer bits"):
             compare_methods(SMALL, pwl, 3)
+
+
+def _baseline_row_ref(out_fmt, ys, ts):
+    """``_baseline_row``'s saturating branch written with the ``min``/``max`` builtins."""
+    y_min, y_max = out_fmt.code_min, out_fmt.code_max
+    return (
+        [abs(min(max(y, y_min), y_max) - t) for y, t in zip(ys, ts)],
+        [abs(min(max(-y, y_min), y_max) + t) for y, t in zip(ys, ts)],
+    )
+
+
+class TestBaselineRowClamp:
+    OUT = QFormat(True, 0, 7)           # codes -128..127
+
+    def row(self, ys, ts):
+        return analysis._baseline_row(self.OUT, lambda m0, m1: list(ys), 0, len(ys), ts)
+
+    def test_boundaries_on_both_sides(self):
+        y_max = self.OUT.code_max
+        edges = [y_max, y_max + 1, y_max + 2, -y_max, -y_max - 1, -y_max - 2]
+        inside = [0, 1, -1, 64, -64, y_max - 1, -y_max + 1]
+        ys = edges + inside + [10 * y_max, -10 * y_max]
+        ts = [abs(y) * 0.98 + i * 0.37 for i, y in enumerate(ys)]
+        pos, neg = self.row(ys, ts)
+        assert (pos, neg) == _baseline_row_ref(self.OUT, ys, ts)
+        # y_max + 1 clamps on the positive side only, -y_max - 1 on the negative side only
+        assert pos[1] == abs(y_max - ts[1]) and neg[1] == abs(y_max + 1 - ts[1])
+        assert pos[4] == abs(-y_max - 1 - ts[4]) and neg[4] == abs(-y_max - ts[4])
+
+    @pytest.mark.parametrize("y", [128, 129, -128, -129])
+    def test_one_clamped_code_among_in_range_ones(self, y):
+        ys = [5, y, -7, 127, -127]
+        ts = [4.6, 127.9, 0.25, 126.5, 3.0]
+        assert self.row(ys, ts) == _baseline_row_ref(self.OUT, ys, ts)
+
+    def test_in_range_block_is_one_list(self):
+        ys = [127, -127, 0, 3]
+        pos, neg = self.row(ys, [126.6, 1.5, 0.0, 2.5])
+        assert pos is neg
+        assert pos == [abs(y - t) for y, t in zip(ys, [126.6, 1.5, 0.0, 2.5])]
 
 
 class TestRendering:

@@ -17,18 +17,20 @@ PUBLIC = {
 # names the top level no longer exports, each still defined in its module
 MODULE_ONLY = [
     ("analysis", "MethodRow"), ("analysis", "Table2Row"),
-    ("baselines", "PwlTable"), ("baselines", "pwl_tanh"), ("baselines", "taylor_tanh"),
+    ("baselines", "PwlTable"),
     ("datapath", "DEFAULT_NR_SEED"),
     ("lutgen", "VelocityLut"), ("lutgen", "build_luts"), ("lutgen", "export_memh"), ("lutgen", "parse_memh"),
     ("lutgen", "shuffle_map"), ("lutgen", "velocity_factor"), ("lutgen", "velocity_factor_original"),
 ]
 
-# Fx-level arithmetic and float inverses that the raw-integer kernel replaced
+# Fx-level arithmetic and float inverses that the raw-integer kernel replaced,
+# and the scalar baselines that the column-wise ranges replaced
 DELETED = [
     ("fxnum", "requantize"), ("fxnum", "mul_fx"), ("fxnum", "add_fx"), ("fxnum", "sub_fx"),
     ("fxnum", "ones_complement_sub1"), ("fxnum", "abs_split"), ("fxnum", "to_real"), ("fxnum", "_rescale"),
     ("lutgen", "tanh_from_factor"), ("lutgen", "tanh_from_factor_original"),
-    ("baselines", "reference_tanh"),
+    ("baselines", "reference_tanh"), ("baselines", "pwl_tanh"), ("baselines", "taylor_tanh"),
+    ("baselines", "_taylor_sum"),
 ]
 
 
