@@ -19,18 +19,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
-from .datapath import Subtractor, TanhConfig, Variant, _check_output_bits, _sweep_family
+from .datapath import Subtractor, TanhConfig, Variant, _sweep_family, clamp_threshold
 from .fxnum import Fx, QFormat
-
-def clamp_threshold(b: int) -> float:
-    """Input magnitude beyond which tanh saturates a b-fraction-bit output.
-
-    Equals artanh(1 - 2**-b) = ln(2**(b+1) - 1)/2: past this point tanh
-    lies above the largest output code, 1 - 2**-b, and its remaining gap to
-    1 is below one output ulp.
-    """
-    _check_output_bits(b)
-    return math.atanh(1.0 - 2.0 ** -b)
 
 
 @dataclass(frozen=True)
@@ -207,54 +197,56 @@ def _hex_code(v: Fx) -> str:
     return f"{v.code & ((1 << v.fmt.width) - 1):0{digits}x}"
 
 
-_REPORT_COLUMNS = ("config", "max_abs_error", "mean_abs_error", "max_error_ulps", "worst_input_hex", "samples")
+@dataclass(frozen=True)
+class Column:
+    """One column of a report: its CSV name and how a row reads in it.
+
+    A cell is ``get(row)``, or the row's attribute ``name``, formatted with
+    the spec ``text``, or ``csv`` where the CSV cell differs.  The text
+    heading is ``heading``, or else ``name``; text cells align to ``align``
+    in at least ``width`` characters, or the column's widest cell.
+    """
+
+    name: str
+    text: str = ""
+    csv: str | None = None
+    heading: str | None = None
+    align: str = "<"
+    width: int = 0
+    get: Callable[[object], object] | None = None
 
 
-def render_reports(reports: list[ErrorReport], fmt: str = "text") -> str:
-    """Serialize sweep reports as aligned text or comma-separated values."""
-    rows = [
-        (
-            r.config,
-            f"{r.max_abs_error:.6e}",
-            f"{r.mean_abs_error:.6e}",
-            f"{r.max_error_ulps:.3f}",
-            _hex_code(r.worst_input),
-            str(r.samples),
-        )
-        for r in reports
-    ]
+SWEEP_COLUMNS = (
+    Column("config"),
+    Column("max_abs_error", ".6e"),
+    Column("mean_abs_error", ".6e"),
+    Column("max_error_ulps", ".3f"),
+    Column("worst_input_hex", get=lambda r: _hex_code(r.worst_input)),
+    Column("samples"),
+)
+
+# zero stages is the reference divider, where the subtractor plays no part
+TABLE2_COLUMNS = (
+    Column("nr_stages", heading="stages", align=">"),
+    Column("subtractor", align=">", get=lambda r: "-" if r.nr_stages == 0 else r.subtractor.value),
+    Column("max_error", ".3e", csv=".6e", align=">", width=12),
+)
+
+COMPARE_COLUMNS = (
+    Column("method", width=12),
+    Column("max_abs_error", ".3e", csv=".6e", align=">"),
+    Column("mean_abs_error", ".3e", csv=".6e", align=">"),
+)
+
+
+def render(columns: tuple[Column, ...], rows: list, fmt: str = "text") -> str:
+    """Serialize report rows as aligned text or comma-separated values."""
+    values = [[getattr(r, c.name) if c.get is None else c.get(r) for c in columns] for r in rows]
     if fmt == "csv":
-        lines = [",".join(_REPORT_COLUMNS)]
-        lines += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(_REPORT_COLUMNS)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(_REPORT_COLUMNS, widths))]
-    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def render_table2(rows: list[Table2Row], fmt: str = "text") -> str:
-    """Serialize the accuracy grid; zero stages is the reference divider."""
-    out = []
-    if fmt == "csv":
-        out.append("nr_stages,subtractor,max_error")
-        for r in rows:
-            sub = "-" if r.nr_stages == 0 else r.subtractor.value
-            out.append(f"{r.nr_stages},{sub},{r.max_error:.6e}")
-    else:
-        out.append(f"{'stages':>6}  {'subtractor':>10}  {'max_error':>12}")
-        for r in rows:
-            sub = "-" if r.nr_stages == 0 else r.subtractor.value
-            out.append(f"{r.nr_stages:>6}  {sub:>10}  {r.max_error:>12.3e}")
-    return "\n".join(out) + "\n"
-
-
-def render_comparison(rows: list[MethodRow], fmt: str = "text") -> str:
-    out = []
-    if fmt == "csv":
-        out.append("method,max_abs_error,mean_abs_error")
-        out += [f"{r.method},{r.max_abs_error:.6e},{r.mean_abs_error:.6e}" for r in rows]
-    else:
-        out.append(f"{'method':<12}  {'max_abs_error':>13}  {'mean_abs_error':>14}")
-        out += [f"{r.method:<12}  {r.max_abs_error:>13.3e}  {r.mean_abs_error:>14.3e}" for r in rows]
-    return "\n".join(out) + "\n"
+        lines = [[c.name for c in columns]]
+        lines += [[format(v, c.text if c.csv is None else c.csv) for v, c in zip(vs, columns)] for vs in values]
+        return "".join(",".join(f'"{s}"' if "," in s else s for s in line) + "\n" for line in lines)
+    lines = [[c.name if c.heading is None else c.heading for c in columns]]
+    lines += [[format(v, c.text) for v, c in zip(vs, columns)] for vs in values]
+    widths = [max(c.width, *(len(line[i]) for line in lines)) for i, c in enumerate(columns)]
+    return "".join("  ".join(f"{s:{c.align}{w}}" for s, c, w in zip(line, columns, widths)) + "\n" for line in lines)

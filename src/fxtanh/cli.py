@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import enum
 import re
 import sys
 from pathlib import Path
@@ -43,10 +44,8 @@ def parse_format(text: str) -> QFormat:
         raise UsageError(f"bad format {text!r}: {e}") from None
 
 
-_ROUND_NAMES = {
-    "truncate": RoundMode.TRUNCATE,
-    "nearest-even": RoundMode.NEAREST_EVEN,
-}
+def _choices(kind: type[enum.Enum]) -> list[str]:
+    return sorted(member.value for member in kind)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -54,20 +53,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_fmt", default="s.15", metavar="FMT", help="output format (default s.15)")
     p.add_argument("--lut-bits", type=int, default=18, help="fractional bits per LUT entry (default 18)")
     p.add_argument("--mult-bits", type=int, default=16, help="fractional bits kept by multipliers (default 16)")
-    p.add_argument("--group", type=int, default=4, choices=(1, 2, 4), help="input bits per LUT (default 4)")
+    p.add_argument("--group", type=int, default=4, choices=lutgen._GROUP_WIDTHS, help="input bits per LUT (default 4)")
     shuf = p.add_mutually_exclusive_group()
     shuf.add_argument("--shuffle", dest="shuffle", action="store_true", default=True,
                       help="balance bit weights across LUTs (default)")
     shuf.add_argument("--no-shuffle", dest="shuffle", action="store_false",
                       help="consecutive ascending bit groups")
     p.add_argument("--nr-stages", type=int, default=3, help="reciprocal refinement stages; 0 = reference divider")
-    p.add_argument("--sub", choices=("ones", "twos"), default="twos", help="final-stage subtractor (default twos)")
-    p.add_argument("--variant", choices=("optimized", "published"), default="optimized")
+    p.add_argument("--sub", choices=_choices(Subtractor), default="twos", help="final-stage subtractor (default twos)")
+    p.add_argument("--variant", choices=_choices(Variant), default="optimized")
     p.add_argument("--threshold", type=float, default=2.0 ** -7,
                    help="published variant: smallest register weight (default 2^-7)")
-    p.add_argument("--internal-round", choices=sorted(_ROUND_NAMES), default="nearest-even",
+    p.add_argument("--internal-round", choices=_choices(RoundMode), default="nearest-even",
                    help="product-tree rounding (default nearest-even)")
-    p.add_argument("--output-round", choices=sorted(_ROUND_NAMES), default="nearest-even",
+    p.add_argument("--output-round", choices=_choices(RoundMode), default="nearest-even",
                    help="final rescale rounding (default nearest-even)")
 
 
@@ -82,8 +81,8 @@ def _config_from_args(args: argparse.Namespace) -> TanhConfig:
         subtractor=Subtractor(args.sub),
         variant=Variant(args.variant),
         published_threshold=args.threshold,
-        internal_round=_ROUND_NAMES[args.internal_round],
-        output_round=_ROUND_NAMES[args.output_round],
+        internal_round=RoundMode(args.internal_round),
+        output_round=RoundMode(args.output_round),
     )
 
 
@@ -134,14 +133,14 @@ def _cmd_gen_lut(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     report = analysis.exhaustive_sweep(cfg)
-    _emit(analysis.render_reports([report], args.report), args.save)
+    _emit(analysis.render(analysis.SWEEP_COLUMNS, [report], args.report), args.save)
     return 0
 
 
 def _cmd_table2(args) -> int:
     cfg = _config_from_args(args)
     rows = analysis.table2(cfg)
-    _emit(analysis.render_table2(rows, args.report), args.save)
+    _emit(analysis.render(analysis.TABLE2_COLUMNS, rows, args.report), args.save)
     return 0
 
 
@@ -150,7 +149,7 @@ def _cmd_compare(args) -> int:
     clamp = analysis.clamp_threshold(cfg.output_fmt.frac_bits)
     pwl = uniform_pwl_table(args.pwl_spacing, clamp)
     rows = analysis.compare_methods(cfg, pwl, args.taylor_terms)
-    _emit(analysis.render_comparison(rows, args.report), args.save)
+    _emit(analysis.render(analysis.COMPARE_COLUMNS, rows, args.report), args.save)
     return 0
 
 

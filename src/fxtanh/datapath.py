@@ -100,6 +100,17 @@ def _check_output_bits(b: int) -> None:
         )
 
 
+def clamp_threshold(b: int) -> float:
+    """Input magnitude beyond which tanh saturates a b-fraction-bit output.
+
+    Equals artanh(1 - 2**-b) = ln(2**(b+1) - 1)/2: past this point tanh
+    lies above the largest output code, 1 - 2**-b, and its remaining gap to
+    1 is below one output ulp.
+    """
+    _check_output_bits(b)
+    return math.atanh(1.0 - 2.0 ** -b)
+
+
 @dataclass(frozen=True)
 class TanhConfig:
     """Complete pipeline configuration.
@@ -332,7 +343,7 @@ class _Plan:
         self.out_frac = cfg.output_fmt.frac_bits
         self.out_max = cfg.output_fmt.code_max
         self.in_frac = cfg.input_fmt.frac_bits
-        threshold = math.atanh(1.0 - 2.0 ** -self.out_frac)
+        threshold = clamp_threshold(self.out_frac)
         if threshold <= self.mag_fmt.max_value:
             self.sat_code = max(1, math.floor(threshold * (1 << self.in_frac)))
         else:
@@ -368,10 +379,7 @@ class _Plan:
             self.f_max = self.mf_mask
         else:
             bits, reg_fmt, self.entries = registers
-            self.low_mask = sum(
-                1 << i for i in range(self.mag_fmt.int_bits + self.in_frac)
-                if i not in bits
-            )
+            self.low_mask = (1 << bits[0]) - 1       # the registers are the high bits of m
             # wide accumulator: the clamped product tops out near 2**(b+1)
             self.wide_max = (1 << (self.out_frac + 2 + mf)) - 1
             entry_frac = reg_fmt.frac_bits

@@ -8,12 +8,14 @@ import pytest
 from fxtanh import analysis
 from fxtanh.analysis import (
     _BLOCK,
+    COMPARE_COLUMNS,
+    SWEEP_COLUMNS,
+    TABLE2_COLUMNS,
+    Table2Row,
     clamp_threshold,
     compare_methods,
     exhaustive_sweep,
-    render_comparison,
-    render_reports,
-    render_table2,
+    render,
     table2,
 )
 from fxtanh.baselines import uniform_pwl_table
@@ -263,35 +265,60 @@ class TestBaselineRowClamp:
         assert pos == [abs(y - t) for y, t in zip(ys, [126.6, 1.5, 0.0, 2.5])]
 
 
-class TestRendering:
-    def test_report_csv_columns(self):
-        rep = exhaustive_sweep(SMALL)
-        lines = render_reports([rep], "csv").splitlines()
-        assert lines[0] == "config,max_abs_error,mean_abs_error,max_error_ulps,worst_input_hex,samples"
-        assert len(lines) == 2
-        assert lines[1].endswith(f",{rep.samples}")
+# per report: its columns, its rows, its CSV header, and words its text shows
+REPORTS = {
+    "sweep": (
+        SWEEP_COLUMNS, lambda: [exhaustive_sweep(SMALL)],
+        "config,max_abs_error,mean_abs_error,max_error_ulps,worst_input_hex,samples", ("config", "s3.5"),
+    ),
+    "table2": (TABLE2_COLUMNS, lambda: table2(SMALL), "nr_stages,subtractor,max_error", ("stages", "max_error")),
+    "compare": (
+        COMPARE_COLUMNS, lambda: compare_methods(TestCompareMethods.CMP, uniform_pwl_table(0.5, 2.8), 3),
+        "method,max_abs_error,mean_abs_error", ("method", "optimized", "taylor-3"),
+    ),
+}
 
-    def test_report_text_contains_hex_worst_input(self):
+
+@pytest.mark.parametrize("report", REPORTS)
+class TestRendering:
+    def test_csv_header_and_one_line_per_row(self, report):
+        columns, rows, header, _ = REPORTS[report]
+        rows = rows()
+        lines = render(columns, rows, "csv").splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + len(rows)
+        assert all(line.count(",") == header.count(",") for line in lines)
+
+    def test_text_is_aligned(self, report):
+        columns, rows, _, words = REPORTS[report]
+        text = render(columns, rows(), "text")
+        assert all(word in text for word in words)
+        assert len({len(line) for line in text.splitlines()}) == 1
+
+    def test_rendering_is_deterministic(self, report):
+        columns, rows, _, _ = REPORTS[report]
+        rows = rows()
+        for fmt in ("text", "csv"):
+            assert render(columns, rows, fmt) == render(columns, rows, fmt)
+
+
+class TestReportCells:
+    def test_sweep_csv_ends_with_samples(self):
         rep = exhaustive_sweep(SMALL)
-        text = render_reports([rep], "text")
+        assert render(SWEEP_COLUMNS, [rep], "csv").splitlines()[1].endswith(f",{rep.samples}")
+
+    def test_sweep_text_contains_hex_worst_input(self):
+        rep = exhaustive_sweep(SMALL)
+        text = render(SWEEP_COLUMNS, [rep], "text")
         digits = (SMALL.input_fmt.width + 3) // 4
         code = rep.worst_input.code & ((1 << SMALL.input_fmt.width) - 1)
         assert f"{code:0{digits}x}" in text
 
-    def test_table2_formats(self):
-        rows = table2(SMALL)
-        csv = render_table2(rows, "csv").splitlines()
-        assert csv[0] == "nr_stages,subtractor,max_error"
+    def test_table2_divider_row(self):
+        csv = render(TABLE2_COLUMNS, table2(SMALL), "csv").splitlines()
         assert csv[1].startswith("0,-,")
-        text = render_table2(rows, "text")
-        assert "stages" in text and "max_error" in text
 
-    def test_comparison_formats(self):
-        pwl = uniform_pwl_table(0.5, 2.8)
-        rows = compare_methods(TestCompareMethods.CMP, pwl, 3)
-        assert render_comparison(rows, "csv").startswith("method,")
-        assert "optimized" in render_comparison(rows, "text")
-
-    def test_rendering_is_deterministic(self):
-        rep = exhaustive_sweep(SMALL)
-        assert render_reports([rep], "csv") == render_reports([rep], "csv")
+    def test_csv_keeps_precision_that_text_rounds(self):
+        row = Table2Row(3, Subtractor.TWOS, 1.2345678e-5)
+        assert render(TABLE2_COLUMNS, [row], "csv").splitlines()[1] == "3,twos,1.234568e-05"
+        assert render(TABLE2_COLUMNS, [row], "text").splitlines()[1] == "     3        twos     1.235e-05"

@@ -24,13 +24,17 @@ MODULE_ONLY = [
 ]
 
 # Fx-level arithmetic and float inverses that the raw-integer kernel replaced,
-# and the scalar baselines that the column-wise ranges replaced
+# the scalar baselines that the column-wise ranges replaced, the per-report
+# renderers that ``analysis.render`` replaced, and the round-mode names that
+# ``RoundMode``'s values replaced
 DELETED = [
     ("fxnum", "requantize"), ("fxnum", "mul_fx"), ("fxnum", "add_fx"), ("fxnum", "sub_fx"),
     ("fxnum", "ones_complement_sub1"), ("fxnum", "abs_split"), ("fxnum", "to_real"), ("fxnum", "_rescale"),
     ("lutgen", "tanh_from_factor"), ("lutgen", "tanh_from_factor_original"),
     ("baselines", "reference_tanh"), ("baselines", "pwl_tanh"), ("baselines", "taylor_tanh"),
     ("baselines", "_taylor_sum"),
+    ("analysis", "render_reports"), ("analysis", "render_table2"), ("analysis", "render_comparison"),
+    ("analysis", "_REPORT_COLUMNS"), ("cli", "_ROUND_NAMES"),
 ]
 
 

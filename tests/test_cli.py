@@ -1,10 +1,13 @@
 """Command-line interface tests."""
 
+from itertools import product
+
 import pytest
 
-from fxtanh.cli import UsageError, parse_format, run
-from fxtanh.fxnum import QFormat
-from fxtanh.lutgen import parse_memh
+from fxtanh.cli import UsageError, _config_from_args, build_parser, parse_format, run
+from fxtanh.datapath import Subtractor, Variant
+from fxtanh.fxnum import QFormat, RoundMode
+from fxtanh.lutgen import _GROUP_WIDTHS, parse_memh
 
 SMALL_FLAGS = ["--in", "s3.5", "--out", "s.7", "--lut-bits", "10", "--mult-bits", "8"]
 
@@ -141,6 +144,18 @@ class TestEval:
         assert "error" in capsys.readouterr().err
 
 
+class TestConfigFlags:
+    def test_every_mode_is_a_choice(self):
+        for sub, variant, round_mode, group in product(Subtractor, Variant, RoundMode, _GROUP_WIDTHS):
+            args = build_parser().parse_args([
+                "sweep", "--sub", sub.value, "--variant", variant.value, "--group", str(group),
+                "--internal-round", round_mode.value, "--output-round", round_mode.value,
+            ])
+            cfg = _config_from_args(args)
+            assert (cfg.subtractor, cfg.variant, cfg.grouping.group_width) == (sub, variant, group)
+            assert cfg.internal_round is cfg.output_round is round_mode
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -164,6 +179,11 @@ class TestExitCodes:
         assert run(["eval", "--in", "s3.20", "--out", "s.23", "--lut-bits", "26", "--mult-bits", "24", "x=0.3"]) == 0
         assert run(["eval", "--in", "s3.21", "x=0.3"]) == 1
         assert "25-bit input is too wide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--group", "--sub", "--variant", "--internal-round", "--output-round"])
+    def test_bad_choice(self, flag, capsys):
+        assert run(["sweep", flag, "3"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         assert run([]) == 2
