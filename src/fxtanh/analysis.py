@@ -60,7 +60,8 @@ def _reduce_errors(cfg: TanhConfig, rows: list[_Row]) -> list[tuple[float, int, 
     absolute errors in output ulps over those magnitudes, for positive
     inputs and for negative ones.  Each row is an odd method and
     ``math.tanh`` is exactly odd, so both are one list unless the row
-    saturates its two sides apart.  A power of two scales exactly, so the
+    saturates its two sides apart; one list is searched for its maximum
+    once, on the negative side.  A power of two scales exactly, so the
     errors are the ones measured in real units, scaled.  Errors are summed
     exactly per block and the block sums exactly again; ties for the
     maximum keep the lowest input code.
@@ -75,14 +76,21 @@ def _reduce_errors(cfg: TanhConfig, rows: list[_Row]) -> list[tuple[float, int, 
         ts = [tanh(m * in_ulp) * scale for m in range(m0, m1)]
         for i, row in enumerate(rows):
             pos, neg = row(m0, m1, ts)
+            one_list = pos is neg
             pos, neg = pos[:-1], neg[:0:-1]         # codes m0..m1-1, and -m1..-m0-1
-            for errs, first in ((neg, -m0 - step), (pos, m0)):
-                block_max = max(errs)
-                code = first + errs.index(block_max)
-                if block_max > max_errs[i] or (block_max == max_errs[i] and code < worsts[i]):
-                    max_errs[i], worsts[i] = block_max, code
+            block_max = max(neg)
+            found = [(block_max, neg.index(block_max) - m0 - step)]
+            if not one_list:
+                block_max = max(pos)
+                found.append((block_max, m0 + pos.index(block_max)))
+            elif pos[0] > block_max:
+                # every positive error but m0's is a negative one's too, at a lower code
+                found.append((pos[0], m0))
+            for err, code in found:
+                if err > max_errs[i] or (err == max_errs[i] and code < worsts[i]):
+                    max_errs[i], worsts[i] = err, code
             totals[i] += (fsum(neg), fsum(pos)) if step == _BLOCK else (fsum(neg + pos),)
-            del pos, neg, errs                      # before the next row's errors
+            del pos, neg                            # before the next row's errors
     return [(e * out_ulp, w, fsum(t) * out_ulp) for e, w, t in zip(max_errs, worsts, totals)]
 
 
@@ -152,9 +160,10 @@ def table2(cfg_base: TanhConfig) -> list[Table2Row]:
     Zero stages stands for the reference divider (real-valued division,
     quantized once at the output); the subtractor plays no part there, so
     the two zero-stage rows agree and share one configuration.  The five
-    configurations differ only past f, so they are one sweep: the tree part
-    and each block's ``math.tanh`` values are computed once, and only the
-    final stage and the error reduction run per configuration.  Each row's
+    configurations differ only past f, so they are one sweep: the tree part,
+    each block's ``math.tanh`` values and each Newton-Raphson iterate are
+    computed once, and only the last steps of the final stage and the error
+    reduction run per configuration.  Each row's
     error equals the ``exhaustive_sweep`` maximum of its cell.
     """
     cells = [(stages, sub) for stages in (0, 2, 3) for sub in (Subtractor.ONES, Subtractor.TWOS)]

@@ -35,8 +35,10 @@ address from the same two tables, a row at a time, then walks the
 magnitudes in order: it keeps one ``f`` per run of equal values and
 gives each magnitude a slot.  The tree part runs once for a family of
 configurations that differ only past ``f`` (stage count, subtractor,
-output rounding, seed).  Each configuration then runs its final stage
-once per run, into a small table that the slots index.
+output rounding, seed).  The final stage then runs a column at a time
+over chunks of runs, into one small table per configuration that the
+slots index: each chunk's ``d`` and each Newton-Raphson iterate are
+computed once for the configurations that share them.
 """
 
 from __future__ import annotations
@@ -314,9 +316,11 @@ class _Plan:
     children at every address, once, on first use; ``walk`` (a sweep's tree
     part) and ``kernel`` (a single call) both read those tables.  ``final``
     maps f to the output magnitude code, or for the published variant to
-    ``t``, which ``correct`` folds with each residual; ``table`` runs it
-    once per run of ``walk``.  ``entries[i][a]`` is the ``Fx`` a trace shows
-    for leaf i at address a.
+    ``t``, which ``correct`` folds with each residual; it serves single
+    calls and traces.  A sweep runs the optimized final stage as
+    ``column``, over a chunk of the runs of ``walk`` at a time, and the
+    published one through ``table``, once per run of register rows.
+    ``entries[i][a]`` is the ``Fx`` a trace shows for leaf i at address a.
 
     ``kernel`` maps an unsaturated magnitude to its output magnitude code;
     it is None until ``build_kernel`` makes it.  Given a list as its last
@@ -328,7 +332,7 @@ class _Plan:
         "cfg", "luts", "mag_fmt", "mag_max", "sat_code", "out_max", "out_frac",
         "mf", "mf_mask", "tree_ne", "out_ne", "stages", "sub_ones",
         "entries", "c0_code", "c1_code", "x_max", "low_mask", "wide_max", "in_frac", "live",
-        "node_frac", "f_max", "leaves", "order", "outer", "root", "final", "correct", "children", "kernel",
+        "node_frac", "f_max", "leaves", "order", "outer", "root", "final", "column", "correct", "children", "kernel",
     )
 
     def __init__(self, cfg: TanhConfig, luts: tuple[VelocityLut, ...] | list[VelocityLut] | None):
@@ -400,7 +404,7 @@ class _Plan:
         if cfg.variant is Variant.PUBLISHED:
             self.final, self.correct = self._published()
         else:
-            self.final, self.correct, self.low_mask = self._optimized(), None, 0
+            (self.final, self.column), self.correct, self.low_mask = self._optimized(), None, 0
         self.children = self.kernel = None
 
     def _reducer(self, clamp: int):
@@ -495,8 +499,8 @@ class _Plan:
         The walk then reads f of every magnitude below ``live`` in order and
         keeps one f per run of equal values; the published variant keeps the
         f of every register row.  ``slots[m]`` is magnitude m's entry in the
-        output table that ``table(fs)`` builds, for any configuration that
-        shares this one's tree.
+        output table that ``_sweep_family`` builds, for any configuration
+        that shares this one's tree.
         """
         left, right = self.root_children()
         root = self.root
@@ -519,22 +523,20 @@ class _Plan:
         return runs, slots
 
     def table(self, fs: array | list) -> array:
-        """Output magnitude codes at the slots of ``walk``: 0, then those of ``fs``.
+        """The published variant's output magnitude codes at the slots of ``walk``: 0, then those of ``fs``.
 
-        ``final`` runs once per run of equal f; the published ``final`` and
-        ``correct`` run once per run of register rows with equal f.  When
-        the largest magnitude saturates, the saturated code ends the table.
+        ``final`` and ``correct`` run once per run of register rows with
+        equal f.  When the largest magnitude saturates, the saturated code
+        ends the table.  An optimized sweep runs ``column`` instead (see
+        ``_sweep_family``).
         """
         codes = array(_typecode(self.out_max), [0])
-        if self.correct is None:
-            codes.extend(map(self.final, fs))
-        else:
-            residuals, prev = range(1 << self.order[0]), None
-            for f in fs:
-                if f != prev:
-                    prev, row = f, self.correct(self.final(f), residuals)
-                codes.extend(row)
-            del codes[self.live + 1:]
+        residuals, prev = range(1 << self.order[0]), None
+        for f in fs:
+            if f != prev:
+                prev, row = f, self.correct(self.final(f), residuals)
+            codes.extend(row)
+        del codes[self.live + 1:]
         if self.live <= self.mag_max:
             codes.append(self.out_max)
         return codes
@@ -574,7 +576,35 @@ class _Plan:
             code = (p + out_bias + (p >> out_shift & out_odd)) >> out_shift
             return code if code < out_max else out_max
 
-        return final
+        def column(fs: list[int], ds: list[int], iterates: dict) -> list[int]:
+            """``final`` of each f in fs, whose ``d`` are ds, a column at a time.
+
+            ``iterates[c0, c1, k]`` is the column of iterate k (0 the seed) from
+            seed codes c0, c1; a column missing there is computed and put in,
+            so configurations that share a seed and d compute each iterate once.
+            """
+            if not stages:
+                ts = [(one - f) / d * scale for f, d in zip(fs, ds)]
+                codes = map(round, ts) if out_ne else map(math.floor, ts)
+                return [code if code < out_max else out_max for code in codes]
+            xs = iterates.get((c0, c1, 0))
+            if xs is None:
+                xs = iterates[c0, c1, 0] = [x if (x := c0 - (c1 * d >> d_frac)) < x_max else x_max for d in ds]
+            for k in range(1, stages + 1):
+                prev, xs = xs, iterates.get((c0, c1, k))
+                if xs is None:
+                    xs = iterates[c0, c1, k] = [
+                        x if (x := px * (two - (d * px >> d_frac)) >> mf) < x_max else x_max
+                        for px, d in zip(prev, ds)
+                    ]
+            ns = [f ^ mf_mask for f in fs] if sub_ones else [one - f if f else mf_mask for f in fs]
+            return [
+                code if (code := (p + out_bias + (p >> out_shift & out_odd)) >> out_shift) < out_max else out_max
+                for n, x in zip(ns, xs)
+                for p in [n * x << up]
+            ]
+
+        return final, column
 
     def _published(self):
         mf, mf_mask, x_max = self.mf, self.mf_mask, self.x_max
@@ -701,22 +731,43 @@ def tanh_fx(x: Fx, cfg: TanhConfig, luts=None, trace: TanhTrace | None = None) -
     return y
 
 
+# runs per column of an optimized sweep's final stage: whole-sweep columns
+# raise the peak memory of a wide sweep by megabytes
+_CHUNK = 1 << 10
+
+
 def _sweep_family(cfgs: list[TanhConfig]) -> tuple[array | range, list[array]]:
     """One exhaustive sweep of configurations that differ only past f.
 
     They may differ in stage count, subtractor, output rounding and seed.
     The tree part (see ``_Plan.walk``) runs once, for the first
-    configuration; each configuration's final stage runs once per run of
-    equal f.  Returns ``(slots, tables)``: ``tables[i][slots[m]]`` is the
-    output magnitude code of magnitude code m under ``cfgs[i]``, and every
-    magnitude from ``len(slots)`` to the largest reads ``tables[i][-1]``.
+    configuration.  The optimized final stage runs as ``_Plan.column`` on
+    chunks of ``_CHUNK`` runs of equal f: each chunk's ``d`` column is
+    computed once, and each seed and iterate column once per seed, for
+    every configuration of the family.  Returns ``(slots, tables)``:
+    ``tables[i][slots[m]]`` is the output magnitude code of magnitude code
+    m under ``cfgs[i]``, and every magnitude from ``len(slots)`` to the
+    largest reads ``tables[i][-1]``.
     """
     plan = _prepare(cfgs[0], None)
     past_f = dict(nr_stages=0, subtractor=Subtractor.TWOS, output_round=RoundMode.NEAREST_EVEN, nr_seed=DEFAULT_NR_SEED)
     if any(replace(cfg, **past_f) != replace(plan.cfg, **past_f) for cfg in cfgs[1:]):
         raise ValueError("the configurations of one sweep may differ only past f")
     fs, slots = plan.walk()
-    return slots, [(plan if cfg is plan.cfg else _Plan(cfg, plan.luts)).table(fs) for cfg in cfgs]
+    plans = [plan if cfg is plan.cfg else _Plan(cfg, plan.luts) for cfg in cfgs]
+    if plan.correct is not None:
+        return slots, [p.table(fs) for p in plans]
+    tables = [array(_typecode(plan.out_max), [0]) for _ in plans]
+    one = 1 << plan.mf
+    for i in range(0, len(fs), _CHUNK):
+        chunk = list(fs[i:i + _CHUNK])
+        ds, iterates = [one + f for f in chunk], {}     # d = (1 + f)/2, as ``final`` forms it
+        for p, codes in zip(plans, tables):
+            codes.extend(p.column(chunk, ds, iterates))
+    if plan.live <= plan.mag_max:
+        for codes in tables:
+            codes.append(plan.out_max)
+    return slots, tables
 
 
 def magnitude_outputs(cfg: TanhConfig) -> array:

@@ -1,7 +1,9 @@
 """Error-measurement harness tests."""
 
 import math
+import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -114,6 +116,41 @@ class TestExhaustiveSweep:
         base = exhaustive_sweep(SMALL)
         better = exhaustive_sweep(replace(SMALL, lut_fmt=QFormat(False, 0, 14)))
         assert better.max_error_ulps <= base.max_error_ulps + 1
+
+
+class TestReduceErrors:
+    """``_reduce_errors`` on synthetic rows against a reduction over every input code."""
+
+    @pytest.mark.parametrize("frac", [5, 10])       # one block for both sides; two blocks per side
+    def test_matches_a_reduction_per_code(self, frac):
+        cfg = replace(SMALL, input_fmt=QFormat(True, 3, frac))
+        half = cfg.input_fmt.code_max + 1
+        step = min(_BLOCK, half)
+        rng = random.Random(frac)
+        for _ in range(20):
+            per_code = [{} for _ in range(3)]
+
+            def row(i, m0, m1, ts):
+                # mostly zeros with a few small integers: ties are common, sums exact, and
+                # m0's error often beats the rest; some blocks give each side its own list
+                def errs():
+                    e = [0.0] * (m1 - m0)
+                    for j in rng.sample(range(m1 - m0), 3) + [0] * rng.randrange(2):
+                        e[j] = float(rng.randrange(1, 4))
+                    return e
+                pos = errs()
+                neg = errs() if rng.random() < 0.3 else pos
+                per_code[i].update({m0 + j: pos[j] for j in range(step)})
+                per_code[i].update({-m0 - j: neg[j] for j in range(1, step + 1)})
+                return pos, neg
+
+            results = analysis._reduce_errors(cfg, [partial(row, i) for i in range(3)])
+            for errs, (max_err, worst, total) in zip(per_code, results):
+                assert sorted(errs) == list(range(-half, half))
+                top = max(errs.values())
+                assert max_err == top * cfg.output_fmt.ulp
+                assert worst == min(c for c, e in errs.items() if e == top)
+                assert total == sum(errs.values()) * cfg.output_fmt.ulp
 
 
 def _table2_families() -> list[TanhConfig]:

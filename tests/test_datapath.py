@@ -11,12 +11,14 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fxtanh import datapath
 from fxtanh.analysis import exhaustive_sweep, table2
 from fxtanh.datapath import (
     NrSeed,
@@ -30,6 +32,7 @@ from fxtanh.datapath import (
     _prepare,
     _published_registers,
     _split,
+    _sweep_family,
     build_luts_for,
     magnitude_outputs,
     reference_config,
@@ -754,6 +757,95 @@ class TestWideConfigs:
                 sum(mask.bit_length() for _, _, mask in _prepare(cfg, None).leaves) > 16
                 for cfg in _wide_configs() if cfg.variant is variant
             )
+
+
+class TestOutputTies:
+    """Every code of small configurations, whose coarse output rescale meets exact ties."""
+
+    def test_ties_round_half_to_even_in_calls_and_sweeps(self):
+        ties = 0
+        for frac_bits, out_bits, stages in product(range(4, 9), range(5, 11), range(1, 4)):
+            cfg = _small(2, frac_bits, out_bits, out_bits + 3, out_bits + 1, nr_stages=stages,
+                         subtractor=list(Subtractor)[(frac_bits + out_bits + stages) % 2])
+            mf, out_max = cfg.mult_fmt.frac_bits, cfg.output_fmt.code_max
+            mags = magnitude_outputs(cfg)
+            for m in range(cfg.input_fmt.code_max + 1):
+                trace = _trace(m, cfg)
+                if trace.saturated or trace.factor is None:
+                    continue
+                # n has mf fraction bits and x approximates 2/(1 + f) with mf
+                exact = Fraction(trace.numerator.code * trace.nr_iterates[-1].code, 1 << (2 * mf + 1 - out_bits))
+                want = min(round(exact), out_max)
+                assert trace.output.code == mags[m] == want, (cfg.describe(), m)
+                ties += exact.denominator == 2 and want > exact
+        # ties that round up to even fail under any other tie rule
+        assert ties >= 20
+
+
+# the third seed shares c0 with the second and c1 with the default
+_SEEDS = (NrSeed(), NrSeed(2.75, 1.75), NrSeed(2.75, 1.5))
+
+
+def _past_f_family(base: TanhConfig, seed: int) -> list[TanhConfig]:
+    """base with every stage count 0 to 5, subtractor, output rounding and seed, in a seeded order."""
+    family = [
+        replace(base, nr_stages=stages, subtractor=sub, output_round=mode, nr_seed=nr_seed)
+        for stages, sub, mode, nr_seed in product(range(6), Subtractor, RoundMode, _SEEDS)
+    ]
+    random.Random(seed).shuffle(family)
+    return family
+
+
+@lru_cache(maxsize=None)
+def _called(cfg: TanhConfig) -> list[int]:
+    """``tanh_fx`` at every magnitude of cfg."""
+    return [tanh_fx(Fx(m, cfg.input_fmt), cfg).code for m in range(cfg.input_fmt.code_max + 1)]
+
+
+def _swept(cfgs: list[TanhConfig]) -> list[list[int]]:
+    """Each configuration's output magnitude code at every magnitude, from one family sweep."""
+    slots, tables = _sweep_family(cfgs)
+    top = cfgs[0].input_fmt.code_max
+    return [[table[s] for s in slots] + [table[-1]] * (top + 1 - len(slots)) for table in tables]
+
+
+class TestColumnFinalStage:
+    """A family sweep's tables, whose final stage runs a chunk of runs at a time and shares d and the iterates."""
+
+    BASES = [
+        _small(2, 6, 8, 11, 9),                     # 120 runs
+        _small(3, 8, 11, 14, 12, grouping=GroupingScheme(2, True), internal_round=_TR),      # 584 runs
+    ]
+
+    @pytest.mark.parametrize("base", BASES, ids=lambda cfg: cfg.describe())
+    @pytest.mark.parametrize("chunk", ["below", "at", "across", "many"])
+    def test_each_table_is_its_own_sweep_and_its_calls(self, monkeypatch, base, chunk):
+        runs = len(_prepare(base, None).walk()[0])
+        monkeypatch.setattr(datapath, "_CHUNK", {"below": runs + 1, "at": runs, "across": runs - 1, "many": 37}[chunk])
+        family = _past_f_family(base, runs)
+        for cfg, outputs in zip(family, _swept(family)):
+            assert _swept([cfg]) == [outputs], cfg.describe()
+            assert outputs == _called(cfg), cfg.describe()
+
+    def test_runs_cross_the_default_chunk(self):
+        base = _small(3, 10, 13, 16, 14)
+        runs = len(_prepare(base, None).walk()[0])
+        assert runs > 2 * datapath._CHUNK
+        family = [replace(base, nr_stages=stages, subtractor=sub, nr_seed=nr_seed)
+                  for stages, sub, nr_seed in [(0, Subtractor.TWOS, _SEEDS[0]), (2, Subtractor.ONES, _SEEDS[1]),
+                                               (3, Subtractor.TWOS, _SEEDS[0]), (5, Subtractor.ONES, _SEEDS[0])]]
+        codes = random.Random(runs).sample(range(base.input_fmt.code_max + 1), 500)
+        for cfg, outputs in zip(family, _swept(family)):
+            assert _swept([cfg]) == [outputs], cfg.describe()
+            assert all(outputs[m] == tanh_fx(Fx(m, base.input_fmt), cfg).code for m in codes), cfg.describe()
+
+    def test_a_sweep_without_runs(self):
+        # s.1 out saturates every magnitude from 1 up, so only m = 0 is live
+        base = _small(3, 0, 1, 4, 4)
+        plan = _prepare(base, None)
+        assert plan.live == 1 and len(plan.walk()[0]) == 0
+        family = _past_f_family(base, 0)
+        assert _swept(family) == [[0] + [1] * 7] * len(family)
 
 
 def _tree_steps(n: int) -> list[tuple[int, int]]:
