@@ -17,6 +17,8 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import compress, count, islice, repeat
+from operator import mul, ne, sub
 
 from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
 from .datapath import Subtractor, TanhConfig, Variant, _sweep_family, clamp_threshold
@@ -94,23 +96,57 @@ def _reduce_errors(cfg: TanhConfig, rows: list[_Row]) -> list[tuple[float, int, 
     return [(e * out_ulp, w, fsum(t) * out_ulp) for e, w, t in zip(max_errs, worsts, totals)]
 
 
-def _sweep_rows(cfgs: list[TanhConfig]) -> list[_Row]:
-    """``_reduce_errors`` rows of configurations that differ only past f, from one sweep.
+def _sweep_row(cfg: TanhConfig) -> _Row:
+    """The ``_reduce_errors`` row of one configuration, from a sweep of it alone.
 
     Each magnitude's output code is read through the sweep's slot of it.
     The magnitudes past the slots, among them the most negative input
     code's, which clamps to the largest, read the table's last code.
     """
-    slots, tables = _sweep_family(cfgs)
+    slots, (table,) = _sweep_family([cfg])
 
-    def row(table: array, m0: int, m1: int, ts: list[float]) -> tuple[list[float], list[float]]:
+    def row(m0: int, m1: int, ts: list[float]) -> tuple[list[float], list[float]]:
         k = max(m0, min(len(slots), m1))
         errs = [abs(table[s] - t) for s, t in zip(slots[m0:k], ts)]
         last = table[-1]
         errs += [abs(last - t) for t in ts[k - m0:]]
         return errs, errs
 
-    return [partial(row, table) for table in tables]
+    return row
+
+
+def _family_maxima(cfgs: list[TanhConfig]) -> list[float]:
+    """Per configuration of a family (see ``_sweep_family``): max error versus real tanh over every input code.
+
+    The maxima are read per run of magnitudes that share a slot, and so an
+    output code y.  ``math.tanh`` never decreases as the magnitude m rises,
+    so a run's largest error, in output ulps, is ``max(y - t(first),
+    t(last) - y)``, with ``t(m) = math.tanh(m * ulp) * 2**b``: the doubles
+    that ``abs(y - t)`` gives at those ends.  Runs have consecutive slots,
+    so a configuration's run outputs are one slice of its table.  The
+    magnitudes past the slots, up to the most negative input code's, are
+    one more run, which reads the table's last code.  Each row is odd and
+    ``math.tanh`` exactly odd, so the magnitudes 0 to ``code_max + 1``
+    cover every input code.
+    """
+    slots, tables = _sweep_family(cfgs)
+    in_fmt, out_fmt = cfgs[0].input_fmt, cfgs[0].output_fmt
+    starts = array("q", [0])
+    starts.extend(compress(count(1), map(ne, islice(slots, 1, None), slots)))
+    starts.append(len(slots))                   # the tail, past the slots
+    ends = array("q", map(sub, islice(starts, 1, None), repeat(1)))
+    ends.append(in_fmt.code_max + 1)
+    ulp, scale = in_fmt.ulp, 2.0 ** out_fmt.frac_bits
+    firsts, lasts = (
+        array("d", map(mul, map(math.tanh, map(mul, ms, repeat(ulp))), repeat(scale))) for ms in (starts, ends)
+    )
+    first = slots[0]
+    maxima = []
+    for table in tables:
+        ys = table[first:first + len(starts) - 1]
+        ys.append(table[-1])
+        maxima.append(max(max(map(sub, ys, firsts)), max(map(sub, lasts, ys))) * out_fmt.ulp)
+    return maxima
 
 
 def _baseline_row(
@@ -142,7 +178,7 @@ def exhaustive_sweep(cfg: TanhConfig) -> ErrorReport:
     every input code, negative ones included, reads its output from there,
     as ``tanh_fx`` would compute it; ``_reduce_errors`` does the rest.
     """
-    ((max_err, worst, total),) = _reduce_errors(cfg, _sweep_rows([cfg]))
+    ((max_err, worst, total),) = _reduce_errors(cfg, [_sweep_row(cfg)])
     samples = 1 << cfg.input_fmt.width
     return ErrorReport(
         config=cfg.describe(),
@@ -160,16 +196,18 @@ def table2(cfg_base: TanhConfig) -> list[Table2Row]:
     Zero stages stands for the reference divider (real-valued division,
     quantized once at the output); the subtractor plays no part there, so
     the two zero-stage rows agree and share one configuration.  The five
-    configurations differ only past f, so they are one sweep: the tree part,
-    each block's ``math.tanh`` values and each Newton-Raphson iterate are
-    computed once, and only the last steps of the final stage and the error
-    reduction run per configuration.  Each row's
-    error equals the ``exhaustive_sweep`` maximum of its cell.
+    configurations differ only past f, so they are one sweep: the tree part
+    and each Newton-Raphson iterate are computed once, and only the last
+    steps of the final stage run per configuration.  The grid reports
+    maxima only, so ``_family_maxima`` reduces each configuration per run
+    of equal output, against ``math.tanh`` values computed once for the
+    family at each run's ends, and sums no errors.  Each row's error equals
+    the ``exhaustive_sweep`` maximum of its cell.
     """
     cells = [(stages, sub) for stages in (0, 2, 3) for sub in (Subtractor.ONES, Subtractor.TWOS)]
     family = [replace(cfg_base, nr_stages=stages, subtractor=sub) for stages, sub in cells[1:]]
-    errors = _reduce_errors(cfg_base, _sweep_rows(family))
-    return [Table2Row(stages, sub, e[0]) for (stages, sub), e in zip(cells, errors[:1] + errors)]
+    maxima = _family_maxima(family)
+    return [Table2Row(stages, sub, e) for (stages, sub), e in zip(cells, maxima[:1] + maxima)]
 
 
 @dataclass(frozen=True)
@@ -190,7 +228,7 @@ def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3) -> li
     once.
     """
     _check_terms(taylor_terms)
-    rows = [_sweep_rows([replace(cfg, variant=variant)])[0] for variant in (Variant.OPTIMIZED, Variant.PUBLISHED)]
+    rows = [_sweep_row(replace(cfg, variant=variant)) for variant in (Variant.OPTIMIZED, Variant.PUBLISHED)]
     ulp, scale = cfg.input_fmt.ulp, 1 << cfg.output_fmt.frac_bits
     rows += [
         partial(_baseline_row, cfg.output_fmt, partial(_pwl_range, pwl, ulp, scale)),

@@ -6,6 +6,8 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fxtanh import analysis
 from fxtanh.analysis import (
@@ -21,7 +23,7 @@ from fxtanh.analysis import (
     table2,
 )
 from fxtanh.baselines import uniform_pwl_table
-from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, reference_config, tanh_fx
+from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, _published_registers, reference_config, tanh_fx
 from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import GroupingScheme
 from test_baselines import pwl_tanh, taylor_tanh
@@ -68,6 +70,16 @@ class TestOracle:
         # the error reduction gives a negative code its magnitude's error
         fmt = QFormat(True, 3, frac)
         assert all(math.tanh(c * fmt.ulp) == -math.tanh(-c * fmt.ulp) for c in range(fmt.code_min, 0))
+
+    @pytest.mark.parametrize("fmt,magnitudes", [
+        (QFormat(True, 3, 12), range((1 << 15) + 1)),
+        (QFormat(True, 3, 13), range((1 << 16) + 1)),
+        (QFormat(True, 5, 18), range(12 << 18, 20 << 18)),     # doubles near 1 plateau here
+    ], ids=["s3.12", "s3.13", "s5.18-plateau"])
+    def test_tanh_never_decreases_on_the_input_grid(self, fmt, magnitudes):
+        # table2 reads a run's largest error from its two ends
+        ts = [math.tanh(m * fmt.ulp) for m in magnitudes]
+        assert all(a <= b for a, b in zip(ts, ts[1:]))
 
 
 class TestExhaustiveSweep:
@@ -171,6 +183,14 @@ def _table2_families() -> list[TanhConfig]:
     ]
     configs.append(replace(base, variant=Variant.PUBLISHED, published_threshold=2.0 ** -8))
     configs.append(TanhConfig(QFormat(True, 1, 16), QFormat(True, 0, 18), QFormat(False, 0, 20), QFormat(False, 0, 17)))
+    # one live magnitude, 0; every other saturates
+    configs.append(TanhConfig(QFormat(True, 3, 0), QFormat(True, 0, 1), QFormat(False, 0, 4), QFormat(False, 0, 3)))
+    # nothing saturates; then the plateau of doubles near 1, where math.tanh repeats its values
+    for cfg in (
+        TanhConfig(QFormat(True, 0, 10), QFormat(True, 0, 12), QFormat(False, 0, 14), QFormat(False, 0, 12)),
+        TanhConfig(QFormat(True, 5, 6), QFormat(True, 0, 44), QFormat(False, 0, 48), QFormat(False, 0, 46)),
+    ):
+        configs += [replace(cfg, variant=variant) for variant in Variant]
     return configs
 
 
@@ -196,6 +216,34 @@ class TestTable2:
         for row in rows:
             cell = exhaustive_sweep(replace(cfg, nr_stages=row.nr_stages, subtractor=row.subtractor))
             assert row.max_error.hex() == cell.max_abs_error.hex()
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(lambda width: st.tuples(st.just(width), st.integers(0, min(4, width - 1)))),
+        st.integers(4, 53),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from(list(Variant)),
+        st.sampled_from(list(RoundMode)),
+        st.sampled_from(list(RoundMode)),
+    )
+    def test_drawn_rows_equal_sweeps_of_each_cell(self, in_bits, out_frac, lut_extra, mult_extra, group, variant,
+                                                  internal_round, output_round):
+        width, in_int = in_bits
+        cfg = TanhConfig(
+            QFormat(True, in_int, width - 1 - in_int),
+            QFormat(True, 0, out_frac),
+            QFormat(False, 0, out_frac + lut_extra),
+            QFormat(False, 0, out_frac + mult_extra),
+            grouping=GroupingScheme(group, True),
+            variant=variant,
+            internal_round=internal_round,
+            output_round=output_round,
+        )
+        if variant is Variant.PUBLISHED:
+            assume(not isinstance(_published_registers(cfg.input_fmt, cfg.lut_fmt, cfg.published_threshold), str))
+        self.test_rows_equal_sweeps_of_each_cell(cfg)
 
     def test_one_sweep_refuses_configurations_that_differ_before_f(self):
         with pytest.raises(ValueError, match="differ only past f"):
