@@ -20,7 +20,7 @@ from functools import partial
 from itertools import compress, count, islice, repeat
 from operator import mul, ne, sub
 
-from .baselines import PwlTable, _check_terms, _pwl_range, _taylor_range
+from .baselines import _TAYLOR_COEFFS, PwlTable, _check_terms, _pwl_range, _taylor_live, _taylor_range
 from .datapath import Subtractor, TanhConfig, Variant, _sweep_family, clamp_threshold
 from .fxnum import Fx, QFormat
 
@@ -225,14 +225,23 @@ def compare_methods(cfg: TanhConfig, pwl: PwlTable, taylor_terms: int = 3) -> li
     and are quantized only at the output (nearest even, saturating), so
     their rows show method error, not internal rounding error.  One
     reduction serves all four rows, so each ``math.tanh`` value is computed
-    once.
+    once.  The Taylor sum is evaluated only below ``_taylor_live``'s bound:
+    past it every code is at or beyond ±scale, on the side of the last
+    coefficient, and both of ``_baseline_row``'s clamps map such a code as
+    they map ±scale, so the tail reads ±scale.
     """
     _check_terms(taylor_terms)
     rows = [_sweep_row(replace(cfg, variant=variant)) for variant in (Variant.OPTIMIZED, Variant.PUBLISHED)]
     ulp, scale = cfg.input_fmt.ulp, 1 << cfg.output_fmt.frac_bits
+    live = _taylor_live(taylor_terms, ulp, cfg.input_fmt.code_max + 2)
+    fill = scale if _TAYLOR_COEFFS[taylor_terms - 1] > 0 else -scale
+
+    def taylor(m0: int, m1: int) -> list[int]:
+        return _taylor_range(taylor_terms, ulp, scale, m0, min(m1, live)) + [fill] * (m1 - max(m0, live))
+
     rows += [
         partial(_baseline_row, cfg.output_fmt, partial(_pwl_range, pwl, ulp, scale)),
-        partial(_baseline_row, cfg.output_fmt, partial(_taylor_range, taylor_terms, ulp, scale)),
+        partial(_baseline_row, cfg.output_fmt, taylor),
     ]
     names = ("optimized", "published", "pwl", f"taylor-{taylor_terms}")
     samples = 1 << cfg.input_fmt.width

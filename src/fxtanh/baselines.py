@@ -23,6 +23,9 @@ class PwlTable:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        for knot in self.knots:
+            if not all(map(math.isfinite, knot)):
+                raise ValueError(f"knot {knot} is not finite")
         if not self.knots or self.knots[0] != (0.0, 0.0):
             raise ValueError("first knot must be (0, 0)")
         xs = [x for x, _ in self.knots]
@@ -33,12 +36,22 @@ class PwlTable:
             raise ValueError("knot values must be nondecreasing")
 
 
+def _knot_count(spacing: float, clamp: float) -> int:
+    """Knots of ``uniform_pwl_table(spacing, clamp)``, counted without building them."""
+    for name, v in (("spacing", spacing), ("clamp", clamp)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if spacing <= 0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    n = clamp / spacing
+    if not math.isfinite(n):
+        raise ValueError(f"spacing {spacing} is too fine to count knots over [0, {clamp}]")
+    return math.ceil(n) + 1
+
+
 def uniform_pwl_table(spacing: float = 0.25, clamp: float = 5.6) -> PwlTable:
     """Uniform tanh knots at the given spacing over [0, clamp]."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    n = math.ceil(clamp / spacing)
-    return PwlTable(tuple((i * spacing, math.tanh(i * spacing)) for i in range(n + 1)))
+    return PwlTable(tuple((i * spacing, math.tanh(i * spacing)) for i in range(_knot_count(spacing, clamp))))
 
 
 def _pwl_range(table: PwlTable, ulp: float, scale: int, m0: int, m1: int) -> list[int]:
@@ -83,3 +96,34 @@ def _taylor_range(terms: int, ulp: float, scale: int, m0: int, m1: int) -> list[
         power = [p * s for p, s in zip(power, sq)]
         acc = [a + c * p for a, p in zip(acc, power)]
     return [round(a * scale) for a in acc]
+
+
+# relative slack per term in _taylor_live; far above the float error of the
+# sums there and in _taylor_range, at most about 12 * 2**-53 of the terms' sum
+_SLACK = 2.0 ** -40
+
+
+def _taylor_live(terms: int, ulp: float, stop: int) -> int:
+    """First magnitude code m < stop from which every ``_taylor_range`` code is at or beyond ±scale; ``stop`` if none.
+
+    The codes there lie on the side of the last coefficient c: wherever the
+    last term outweighs the others, L(x) = |c| x^(2k-1) - sum |c_i| x^(2i-1)
+    > 0, the sum has c's sign and magnitude at least L(x).  L(x) / x^(2k-1)
+    increases with x, so once L(x) - s T(x) reaches 1, with T the sum of the
+    terms' magnitudes and slack s = ``_SLACK``, it stays there.  Half the
+    slack covers this test's float error, half that of the rounded sum: its
+    magnitude stays at least 1, for any output scale.  Bisects over codes
+    below ``stop``.
+    """
+    *rest, last = (abs(c) for c in _TAYLOR_COEFFS[:terms])
+
+    def clears(m: int) -> bool:
+        x = m * ulp
+        lower = sum(c * x ** (2 * i + 1) for i, c in enumerate(rest)) * (1.0 + _SLACK)
+        return last * x ** (2 * terms - 1) * (1.0 - _SLACK) - lower >= 1.0
+
+    lo, hi = 0, stop                            # clears(lo) fails; any code from hi on clears
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if clears(mid) else (mid, hi)
+    return hi

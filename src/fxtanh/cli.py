@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, lutgen
-from .baselines import uniform_pwl_table
+from .baselines import _knot_count, uniform_pwl_table
 from .datapath import Subtractor, TanhConfig, TanhTrace, Variant, tanh_fx
 from .fxnum import QFormat, RoundMode, quantize
 from .lutgen import GroupingScheme
@@ -147,6 +147,12 @@ def _cmd_table2(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     clamp = analysis.clamp_threshold(cfg.output_fmt.frac_bits)
+    knots, magnitudes = _knot_count(args.pwl_spacing, clamp), cfg.input_fmt.code_max + 2
+    if knots > magnitudes:
+        raise ValueError(
+            f"--pwl-spacing {args.pwl_spacing} makes {knots} knots, more than the {magnitudes} magnitude codes of "
+            f"{cfg.input_fmt.spec()} inputs"
+        )
     pwl = uniform_pwl_table(args.pwl_spacing, clamp)
     rows = analysis.compare_methods(cfg, pwl, args.taylor_terms)
     _emit(analysis.render(analysis.COMPARE_COLUMNS, rows, args.report), args.save)

@@ -22,7 +22,7 @@ from fxtanh.analysis import (
     render,
     table2,
 )
-from fxtanh.baselines import uniform_pwl_table
+from fxtanh.baselines import _pwl_range, _taylor_range, uniform_pwl_table
 from fxtanh.datapath import Subtractor, TanhConfig, TanhTrace, Variant, _published_registers, reference_config, tanh_fx
 from fxtanh.fxnum import Fx, QFormat, RoundMode, quantize
 from fxtanh.lutgen import GroupingScheme
@@ -287,6 +287,32 @@ class TestCompareMethods:
                     blocks = [math.fsum(errs[i:i + _BLOCK]) for i in range(0, len(errs), _BLOCK)]
                     assert rows[name].max_abs_error == max(errs)
                     assert rows[name].mean_abs_error == math.fsum(blocks) / len(errs)
+
+    @pytest.mark.parametrize(
+        "in_fmt,out_frac,terms",
+        # compare17's formats; s3.9, whose one block holds the tail's start; s1.12, where only
+        # one term leaves the range, halfway; s0.10, where no sum leaves it
+        [(in_fmt, out_frac, terms)
+         for in_fmt, out_frac in ((QFormat(True, 3, 13), 16), (QFormat(True, 3, 9), 12), (QFormat(True, 1, 12), 14))
+         for terms in (1, 2, 3, 4)]
+        + [(QFormat(True, 0, 10), 10, 3)],
+        ids=str,
+    )
+    def test_baseline_rows_equal_a_reduction_of_every_magnitude(self, in_fmt, out_frac, terms):
+        cfg = replace(self.CMP, input_fmt=in_fmt, output_fmt=QFormat(True, 0, out_frac),
+                      lut_fmt=QFormat(False, 0, out_frac + 3), mult_fmt=QFormat(False, 0, out_frac + 1),
+                      grouping=GroupingScheme(2, True))
+        pwl = uniform_pwl_table(0.1, clamp_threshold(out_frac))
+        ulp, scale = in_fmt.ulp, 1 << out_frac
+        reference = analysis._reduce_errors(cfg, [
+            partial(analysis._baseline_row, cfg.output_fmt, partial(_pwl_range, pwl, ulp, scale)),
+            partial(analysis._baseline_row, cfg.output_fmt, partial(_taylor_range, terms, ulp, scale)),
+        ])
+        rows = compare_methods(cfg, pwl, terms)[2:]
+        assert [r.method for r in rows] == ["pwl", f"taylor-{terms}"]
+        for row, (max_err, _, total) in zip(rows, reference):
+            assert row.max_abs_error.hex() == max_err.hex()
+            assert row.mean_abs_error.hex() == (total / (1 << in_fmt.width)).hex()
 
     def test_variant_rows_are_the_sweep_reports(self):
         rows = {r.method: r for r in compare_methods(self.CMP, uniform_pwl_table(0.25, 2.8), 3)}

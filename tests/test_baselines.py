@@ -8,11 +8,23 @@ hold those to the references bit for bit.
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxtanh.analysis import _BLOCK
-from fxtanh.baselines import _TAYLOR_COEFFS, PwlTable, _check_terms, _pwl_range, _taylor_range, uniform_pwl_table
+from fxtanh.baselines import (
+    _TAYLOR_COEFFS,
+    PwlTable,
+    _check_terms,
+    _knot_count,
+    _pwl_range,
+    _taylor_live,
+    _taylor_range,
+    uniform_pwl_table,
+)
 
 
 def pwl_tanh(x: float, table: PwlTable) -> float:
@@ -89,6 +101,24 @@ class TestPwl:
         with pytest.raises(ValueError):
             PwlTable(((0.0, 0.0), (1.0, -0.5)))     # nondecreasing values
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_named(self, bad):
+        with pytest.raises(ValueError, match=f"spacing must be finite, got {bad}"):
+            uniform_pwl_table(bad, 2.0)
+        with pytest.raises(ValueError, match=f"clamp must be finite, got {bad}"):
+            uniform_pwl_table(0.25, bad)
+        for knot in ((1.0, bad), (bad, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"knot {knot} is not finite")):
+                PwlTable(((0.0, 0.0), knot))
+
+    def test_spacing_too_fine_to_count_is_refused(self):
+        with pytest.raises(ValueError, match="spacing 1e-320 is too fine"):
+            uniform_pwl_table(1e-320, 2.0)
+
+    def test_knot_count_matches_the_table(self):
+        for spacing, clamp in [(0.25, 5.6), (0.25, 5.5), (0.1, 5.9), (0.001, 2.0), (3.0, 1.0)]:
+            assert _knot_count(spacing, clamp) == len(uniform_pwl_table(spacing, clamp).knots)
+
 
 class TestTaylor:
     def test_zero(self):
@@ -162,6 +192,44 @@ class TestTaylorRange:
             m1 = m0 + _BLOCK + 1
             ref = _codes(lambda x: taylor_tanh(x, terms), ulp, scale, m0, m1)
             assert _taylor_range(terms, ulp, scale, m0, m1) == ref, m0
+
+
+class TestTaylorLive:
+    """``_taylor_live``'s bound: from it on, every code is at or beyond ±scale on the last coefficient's side."""
+
+    ULP, SCALE = 2.0 ** -13, 1 << 16
+
+    @staticmethod
+    def saturated(terms, scale, codes):
+        sign = 1 if _TAYLOR_COEFFS[terms - 1] > 0 else -1
+        return all(sign * y >= scale for y in codes)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4])
+    def test_every_s3_13_magnitude_from_live_saturates(self, terms):
+        live = _taylor_live(terms, self.ULP, 65537)
+        assert live < 65537
+        assert self.saturated(terms, self.SCALE, _taylor_range(terms, self.ULP, self.SCALE, live, 65537))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 20), st.integers(1, 53), st.integers(1, 4))
+    def test_drawn_formats(self, in_int, in_frac, out_frac, terms):
+        # magnitudes 0 to 2**(in_int + in_frac), the most negative input's
+        stop = (1 << (in_int + in_frac)) + 1
+        ulp, scale = 2.0 ** -in_frac, 1 << out_frac
+        live = _taylor_live(terms, ulp, stop)
+        assert 1 <= live <= stop
+        rng = random.Random(f"{in_int} {in_frac} {out_frac} {terms}")
+        ms = [live, live + 1, stop - 1] + [rng.randrange(live, stop) for _ in range(50 if live < stop else 0)]
+        codes = [_taylor_range(terms, ulp, scale, m, m + 1)[0] for m in ms if live <= m < stop]
+        assert self.saturated(terms, scale, codes)
+
+    def test_a_range_the_sum_never_leaves_has_no_tail(self):
+        # s0.10: |x| <= 1, where the 3-term sum stays below 1
+        assert _taylor_live(3, 2.0 ** -10, 1025) == 1025
+
+    def test_bound_is_tight_at_s3_13(self):
+        # the 3-term sum passes 1 near x = 1.27; its leading term outweighs the rest from about x = 2.19
+        assert _taylor_live(3, self.ULP, 65537) <= 18100
 
 
 class TestPwlRange:

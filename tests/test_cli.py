@@ -1,9 +1,12 @@
 """Command-line interface tests."""
 
+import time
 from itertools import product
 
 import pytest
 
+from fxtanh import cli
+from fxtanh.analysis import clamp_threshold
 from fxtanh.cli import UsageError, _config_from_args, build_parser, parse_format, run
 from fxtanh.datapath import Subtractor, Variant
 from fxtanh.fxnum import QFormat, RoundMode
@@ -103,6 +106,32 @@ class TestReports:
         out = capsys.readouterr().out
         for method in ("optimized", "published", "pwl", "taylor-3"):
             assert method in out
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf", "0", "-0.5"])
+    def test_compare_refuses_a_spacing_that_is_not_positive_and_finite(self, spacing, capsys):
+        assert run(["compare", "--in", "s3.5", "--out", "s.7", f"--pwl-spacing={spacing}"]) == 1
+        assert str(float(spacing)) in capsys.readouterr().err
+
+    def test_compare_refuses_more_knots_than_magnitude_codes_before_building_them(self, monkeypatch, capsys):
+        # s3.12 inputs have 32,769 magnitude codes; spacing 1e-9 over [0, 5.55] would make 5.5e9 knots
+        def no_table(spacing, clamp):
+            raise AssertionError("built the knot table")
+
+        monkeypatch.setattr(cli, "uniform_pwl_table", no_table)
+        start = time.perf_counter()
+        assert run(["compare", "--pwl-spacing", "1e-9"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "--pwl-spacing 1e-09 makes 5545169817 knots" in err
+        assert "32769 magnitude codes" in err
+
+    def test_compare_accepts_as_many_knots_as_magnitude_codes(self, capsys):
+        # s3.5 inputs have 257 magnitude codes: 256 segments over [0, clamp] fit, 257 do not
+        clamp = clamp_threshold(7)
+        args = ["compare", "--in", "s3.5", "--out", "s.7", "--pwl-spacing"]
+        assert run(args + [repr(clamp / 255.5)]) == 0
+        assert run(args + [repr(clamp / 256.5)]) == 1
+        assert "makes 258 knots, more than the 257 magnitude codes of s3.5 inputs" in capsys.readouterr().err
 
 
 class TestEval:
